@@ -14,7 +14,8 @@ import repro.core._
   *   2. Apply the *integer Lorenzo transform* inside each block — a separable
   *      forward-difference pass along each dimension over the raw bit
   *      patterns (wrapping integer arithmetic, hence lossless).
-  *   3. Bit-transpose chunks of 32 (single) / 64 (double) residuals.
+  *   3. Bit-transpose chunks of 32 (single) / 64 (double) residuals in place
+  *      ([[repro.core.BitTranspose]]).
   *   4. Drop zero words, keeping a 32-/64-bit bitmap header per chunk and the
   *      non-zero words verbatim.
   *
@@ -40,7 +41,7 @@ object NdzipCore {
     val tiles: Array[Int]    = ext.map(_ / side)
     val aligned: Array[Int]  = tiles.map(_ * side)
     val nTiles: Int          = tiles.product
-    def strides: Array[Int] = {
+    val strides: Array[Int]  = {
       val s = new Array[Int](dims)
       s(dims - 1) = 1
       var d = dims - 2
@@ -134,58 +135,23 @@ object NdzipCore {
     }
   }
 
-  /** Exact w x w bit transpose (bit j of word i -> bit i of word j), built on
-    * the in-place Hacker's Delight anti-transpose plus index/bit reversal —
-    * the scalar stand-in for ndzip's SIMD transposition.
-    */
-  def bitTranspose(in: Array[Long], w: Int): Array[Long] = {
-    val a = java.util.Arrays.copyOf(in, w)
-    antiTranspose(a, w)
-    val out = new Array[Long](w)
-    var j = 0
-    while (j < w) {
-      val x = a(w - 1 - j)
-      out(j) =
-        if (w == 64) java.lang.Long.reverse(x)
-        else java.lang.Integer.reverse(x.toInt).toLong & 0xffffffffL
-      j += 1
-    }
-    out
-  }
-
-  /** In-place anti-transpose of a w x w bit matrix (HD §7-3 transpose32/64). */
-  private def antiTranspose(a: Array[Long], w: Int): Unit = {
-    var j = w >> 1
-    var m = if (w == 64) 0x00000000ffffffffL else 0x0000ffffL
-    while (j != 0) {
-      var k = 0
-      while (k < w) {
-        val t = (a(k) ^ (a(k + j) >>> j)) & m
-        a(k) ^= t
-        a(k + j) ^= (t << j)
-        k = (k + j + 1) & ~j
-      }
-      j >>= 1
-      m = m ^ (m << j)
-    }
-  }
-
   // ------------------------------------------------------------ encoding ---
 
-  /** Chunked bit transpose + zero-word elimination over one tile buffer. */
+  /** Chunked bit transpose + zero-word elimination over one tile buffer;
+    * transposes `work` in place.
+    */
   private def encodeResiduals(work: Array[Long], w: Int): Array[Byte] = {
     val out   = new ByteBuf(work.length * w / 8 / 2 + 64)
     val bytes = w / 8
     var base  = 0
     while (base < work.length) {
-      val chunk = java.util.Arrays.copyOfRange(work, base, base + w)
-      val t     = bitTranspose(chunk, w)
-      var head  = 0L
+      BitTranspose.square(work, base, w)
+      var head = 0L
       var i = 0
-      while (i < w) { if (t(i) != 0) head |= 1L << i; i += 1 }
-      writeWord(out, head, bytes)
+      while (i < w) { if (work(base + i) != 0) head |= 1L << i; i += 1 }
+      out.writeWordLE(head, bytes)
       i = 0
-      while (i < w) { if (t(i) != 0) writeWord(out, t(i), bytes); i += 1 }
+      while (i < w) { if (work(base + i) != 0) out.writeWordLE(work(base + i), bytes); i += 1 }
       base += w
     }
     out.toByteArray
@@ -196,16 +162,14 @@ object NdzipCore {
     val bytes = w / 8
     var pos   = off
     var base  = 0
-    val chunk = new Array[Long](w)
     while (base < BlockElems) {
-      val head = readWord(data, pos, bytes); pos += bytes
+      val head = ByteBuf.readWordLE(data, pos, bytes); pos += bytes
       var i = 0
       while (i < w) {
-        chunk(i) = if (((head >>> i) & 1L) != 0) { val v = readWord(data, pos, bytes); pos += bytes; v }
-                   else 0L
+        if (((head >>> i) & 1L) != 0) { work(base + i) = ByteBuf.readWordLE(data, pos, bytes); pos += bytes }
         i += 1
       }
-      System.arraycopy(bitTranspose(chunk, w), 0, work, base, w)
+      BitTranspose.square(work, base, w)
       base += w
     }
     (work, pos - off)
@@ -218,8 +182,11 @@ object NdzipCore {
     * otherwise all-ones in its top bits under two's complement, which would
     * defeat the zero-word elimination after transposition.
     */
-  def compressBlock(tile: Array[Long], dims: Int, w: Int): Array[Byte] = {
-    val work = java.util.Arrays.copyOf(tile, tile.length)
+  def compressBlock(tile: Array[Long], dims: Int, w: Int): Array[Byte] =
+    compressTile(java.util.Arrays.copyOf(tile, tile.length), dims, w)
+
+  /** [[compressBlock]] that overwrites `work` instead of copying it. */
+  private def compressTile(work: Array[Long], dims: Int, w: Int): Array[Byte] = {
     forwardLorenzo(work, dims, sideFor(dims), w)
     val m = mask(w)
     var i = 0
@@ -255,7 +222,7 @@ object NdzipCore {
     val parts = Parallel.map((0 until g.nTiles).toIndexedSeq, threads) { t =>
       val buf = new Array[Long](BlockElems)
       moveTile(vals, buf, g, t, gather = true)
-      compressBlock(buf, g.dims, w)
+      compressTile(buf, g.dims, w)
     }
     val out = new ByteBuf()
     out.writeIntLE(g.nTiles)
@@ -263,7 +230,7 @@ object NdzipCore {
     parts.foreach(out.write)
     var i = 0
     while (i < vals.length) {
-      if (g.nTiles == 0 || !inAligned(i, g)) writeWord(out, vals(i), w / 8)
+      if (g.nTiles == 0 || !inAligned(i, g)) out.writeWordLE(vals(i), w / 8)
       i += 1
     }
     val bytes = out.toByteArray
@@ -288,7 +255,7 @@ object NdzipCore {
     var pos = offsets.last
     var i = 0
     while (i < n) {
-      if (nT == 0 || !inAligned(i, g)) { vals(i) = readWord(data, pos, w / 8); pos += w / 8 }
+      if (nT == 0 || !inAligned(i, g)) { vals(i) = ByteBuf.readWordLE(data, pos, w / 8); pos += w / 8 }
       i += 1
     }
     val ops = n.toLong * precision.bytes * 7
@@ -300,18 +267,6 @@ object NdzipCore {
   // ------------------------------------------------------------- util ------
 
   private def pow(b: Int, e: Int): Int = { var r = 1; var i = 0; while (i < e) { r *= b; i += 1 }; r }
-
-  private def writeWord(out: ByteBuf, v: Long, bytes: Int): Unit = {
-    var i = 0
-    while (i < bytes) { out.write(((v >>> (8 * i)) & 0xff).toInt); i += 1 }
-  }
-
-  private def readWord(data: Array[Byte], off: Int, bytes: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < bytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
-    v
-  }
 
   private def readInt(data: Array[Byte], off: Int): Int =
     (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |

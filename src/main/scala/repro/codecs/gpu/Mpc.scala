@@ -8,7 +8,8 @@ import repro.codecs.cpu.NdzipCore
   *
   *   1. LNV6s — subtract the 6th prior value within the chunk.
   *   2. BIT   — bit transpose (the i-th bits of all words, packed into words;
-  *              the same operation as bitshuffle).
+  *              the same operation as bitshuffle), w values at a time with
+  *              the word-parallel [[repro.core.BitTranspose]].
   *   3. LNV1s — subtract the previous word of the transposed stream.
   *   4. ZE    — a zero-word bitmap followed by the non-zero words.
   *
@@ -23,72 +24,78 @@ final class Mpc extends Codec {
   private val Chunk = 1024
 
   override def compress(block: FpBlock): Compressed = {
-    val w    = block.precision.bits
-    val m    = NdzipCore.mask(w)
-    val vals = block.bits
-    val out  = new ByteBuf(vals.length * w / 8 / 2 + 64)
+    val w      = block.precision.bits
+    val bytes  = block.precision.bytes
+    val m      = NdzipCore.mask(w)
+    val vals   = block.bits
+    val out    = new ByteBuf(vals.length * bytes / 2 + 64)
+    val r1     = new Array[Long](Chunk)
+    val t      = new Array[Long](Chunk)
+    val bitmap = new Array[Long](Chunk / 32)
     var base = 0
     while (base < vals.length) {
-      val len = math.min(Chunk, vals.length - base)
-      // 1. LNV6s
-      val r1 = new Array[Long](len)
+      val len    = math.min(Chunk, vals.length - base)
+      val groups = (len + w - 1) / w
+      val nWords = w * groups
+      // 1. LNV6s, zero-padded to whole w-value groups
       var i = 0
       while (i < len) {
-        r1(i) = if (i < 6) vals(base + i) else (vals(base + i) - vals(base + i - 6)) & m
+        r1(i) = (if (i < 6) vals(base + i) else vals(base + i) - vals(base + i - 6)) & m
         i += 1
       }
-      // 2. BIT transpose: (len values x w bits) -> (w planes x len bits), packed in w-bit words
-      val t = bitTransposeForward(r1, len, w)
-      // 3. LNV1s
-      val r3 = new Array[Long](t.length)
-      i = 0
-      while (i < t.length) {
-        r3(i) = if (i == 0) t(i) else (t(i) - t(i - 1)) & m
-        i += 1
-      }
+      java.util.Arrays.fill(r1, len, nWords, 0L)
+      // 2. BIT, into plane-major order
+      toPlanes(r1, t, groups, w)
+      // 3. LNV1s, in place from the back
+      i = nWords - 1
+      while (i > 0) { t(i) = (t(i) - t(i - 1)) & m; i -= 1 }
       // 4. ZE
-      val bitmapWords = (r3.length + w - 1) / w
-      val bitmap      = new Array[Long](bitmapWords)
+      val bitmapWords = (nWords + w - 1) / w
+      java.util.Arrays.fill(bitmap, 0, bitmapWords, 0L)
       i = 0
-      while (i < r3.length) { if (r3(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
-      bitmap.foreach(writeWord(out, _, w))
+      while (i < nWords) { if (t(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
       i = 0
-      while (i < r3.length) { if (r3(i) != 0) writeWord(out, r3(i), w); i += 1 }
+      while (i < bitmapWords) { out.writeWordLE(bitmap(i), bytes); i += 1 }
+      i = 0
+      while (i < nWords) { if (t(i) != 0) out.writeWordLE(t(i), bytes); i += 1 }
       base += len
     }
-    val bytes = out.toByteArray
+    val stream = out.toByteArray
     // ~14 ops/byte: two delta passes + the bit transpose (DESIGN.md #2)
     val ops = block.sizeBytes * 14
-    Compressed(bytes, WorkProfile(block.sizeBytes * 3, bytes.length, ops, divergent = false))
+    Compressed(stream, WorkProfile(block.sizeBytes * 3, stream.length, ops, divergent = false))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
-    val w     = precision.bits
-    val m     = NdzipCore.mask(w)
-    val bytes = precision.bytes
-    val n     = extent.product.toInt
-    val vals  = new Array[Long](n)
-    var pos   = 0
-    var base  = 0
+    val w      = precision.bits
+    val m      = NdzipCore.mask(w)
+    val bytes  = precision.bytes
+    val n      = extent.product.toInt
+    val vals   = new Array[Long](n)
+    val r1     = new Array[Long](Chunk)
+    val t      = new Array[Long](Chunk)
+    val bitmap = new Array[Long](Chunk / 32)
+    var pos    = 0
+    var base   = 0
     while (base < n) {
       val len    = math.min(Chunk, n - base)
-      // the transpose pads each bit plane to whole w-bit words
-      val nWords = w * ((len + w - 1) / w)
+      val groups = (len + w - 1) / w
+      val nWords = w * groups
       val bitmapWords = (nWords + w - 1) / w
-      val bitmap      = new Array[Long](bitmapWords)
       var i = 0
-      while (i < bitmapWords) { bitmap(i) = readWord(data, pos, w); pos += bytes; i += 1 }
-      val r3 = new Array[Long](nWords)
+      while (i < bitmapWords) { bitmap(i) = ByteBuf.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
+      // ZE and LNV1s inverses in one forward pass
+      var prev = 0L
       i = 0
       while (i < nWords) {
-        r3(i) = if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) { val v = readWord(data, pos, w); pos += bytes; v }
-                else 0L
+        if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) {
+          prev = (prev + ByteBuf.readWordLE(data, pos, bytes)) & m
+          pos += bytes
+        }
+        t(i) = prev
         i += 1
       }
-      val t = new Array[Long](nWords)
-      i = 0
-      while (i < nWords) { t(i) = if (i == 0) r3(i) else (r3(i) + t(i - 1)) & m; i += 1 }
-      val r1 = bitTransposeInverse(t, len, w)
+      fromPlanes(t, r1, groups, w)
       i = 0
       while (i < len) {
         vals(base + i) = if (i < 6) r1(i) else (r1(i) + vals(base + i - 6)) & m
@@ -102,52 +109,31 @@ final class Mpc extends Codec {
                              divergent = false))
   }
 
-  /** Transpose an (len x w) bit matrix into w bit planes of len bits each,
-    * packed into w-bit words MSB-plane first. Output length == len words.
+  /** Transpose `groups` w-value groups of `r1` in place and scatter them into
+    * plane-major order: `t(p * groups + g)` holds bit plane w-1-p of group g.
     */
-  private def bitTransposeForward(in: Array[Long], len: Int, w: Int): Array[Long] = {
-    val wordsPerPlane = (len + w - 1) / w
-    val out = new Array[Long](w * wordsPerPlane)
-    var bit = 0
-    while (bit < w) {
-      val plane = w - 1 - bit // MSB plane first, per the paper
-      var i = 0
-      while (i < len) {
-        if (((in(i) >>> bit) & 1L) != 0)
-          out(plane * wordsPerPlane + i / w) |= 1L << (i % w)
-        i += 1
-      }
-      bit += 1
+  private def toPlanes(r1: Array[Long], t: Array[Long], groups: Int, w: Int): Unit = {
+    var g = 0
+    while (g < groups) {
+      val off = g * w
+      BitTranspose.square(r1, off, w)
+      var p = 0
+      while (p < w) { t(p * groups + g) = r1(off + w - 1 - p); p += 1 }
+      g += 1
     }
-    out // length w * wordsPerPlane (== len when w divides len; padded otherwise)
   }
 
-  private def bitTransposeInverse(t: Array[Long], len: Int, w: Int): Array[Long] = {
-    val wordsPerPlane = (len + w - 1) / w
-    val out = new Array[Long](len)
-    var bit = 0
-    while (bit < w) {
-      val plane = w - 1 - bit
-      var i = 0
-      while (i < len) {
-        if (((t(plane * wordsPerPlane + i / w) >>> (i % w)) & 1L) != 0)
-          out(i) |= 1L << bit
-        i += 1
-      }
-      bit += 1
+  /** Inverse of [[toPlanes]]: gather each group's planes from `t` into `r1`
+    * and transpose it back.
+    */
+  private def fromPlanes(t: Array[Long], r1: Array[Long], groups: Int, w: Int): Unit = {
+    var g = 0
+    while (g < groups) {
+      val off = g * w
+      var p = 0
+      while (p < w) { r1(off + w - 1 - p) = t(p * groups + g); p += 1 }
+      BitTranspose.square(r1, off, w)
+      g += 1
     }
-    out
-  }
-
-  private def writeWord(out: ByteBuf, v: Long, w: Int): Unit = {
-    var i = 0
-    while (i < w / 8) { out.write(((v >>> (8 * i)) & 0xff).toInt); i += 1 }
-  }
-
-  private def readWord(data: Array[Byte], off: Int, w: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < w / 8) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
-    v
   }
 }

@@ -35,10 +35,28 @@ final class ByteBuf(initialCapacity: Int = 1024) {
     len += 4
   }
 
+  /** The low `nBytes` bytes of `v`, least significant first. */
+  def writeWordLE(v: Long, nBytes: Int): Unit = {
+    ensure(nBytes)
+    var i = 0
+    while (i < nBytes) { buf(len + i) = (v >>> (8 * i)).toByte; i += 1 }
+    len += nBytes
+  }
+
   def size: Int = len
 
   def toArray: Array[Byte] = Arrays.copyOf(buf, len)
 
   /** Drop-in for call sites written against ByteArrayOutputStream. */
   def toByteArray: Array[Byte] = toArray
+}
+
+object ByteBuf {
+  /** Reads back a word written by [[ByteBuf.writeWordLE]]. */
+  def readWordLE(data: Array[Byte], off: Int, nBytes: Int): Long = {
+    var v = 0L
+    var i = 0
+    while (i < nBytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
+    v
+  }
 }

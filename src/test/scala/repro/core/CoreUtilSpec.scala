@@ -22,6 +22,24 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(b.toByteArray.toSeq == b.toArray.toSeq)
   }
 
+  test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
+    val wordGen = for {
+      n <- Gen.oneOf(1, 2, 4, 8)
+      v <- Gen.choose(Long.MinValue, Long.MaxValue)
+    } yield (v, n)
+    checkProp(Prop.forAll(Gen.listOfN(100, wordGen)) { words =>
+      val b = new ByteBuf(4)
+      words.foreach { case (v, n) => b.writeWordLE(v, n) }
+      val a = b.toArray
+      var pos = 0
+      a.length == words.map(_._2).sum && words.forall { case (v, n) =>
+        val got = ByteBuf.readWordLE(a, pos, n)
+        pos += n
+        got == (if (n == 8) v else v & ((1L << (8 * n)) - 1))
+      }
+    })
+  }
+
   test("Words.pack is identity for doubles") {
     val blk = FpBlock.fromDoubles(Array(1.0, 2.0, 3.0))
     assert(Words.pack(blk) eq blk.bits)
