@@ -16,14 +16,15 @@ import repro.core._
   *   - `10` : XOR against the immediately previous value, leading zeros equal
   *            the stored ones — store the (w - lz) low bits
   *   - `11` : same but new leading-zero count — store 3-bit code then bits
+  *
+  * The encoder's index table is per thread and reused across calls (see
+  * [[repro.core.ReusedTable]]).
   */
 final class Chimp extends Codec {
+  import Chimp._
+
   override def name: String     = "Chimp"
   override def platform: String = "CPU"
-
-  private val PrevValues    = 128
-  private val PrevLog2      = 7
-  private val TrailThreshold = 6 + PrevLog2 // 13, per the Chimp128 reference impl
 
   // Leading-zero counts are rounded down to one of 8 buckets (3-bit code).
   private val LeadBuckets = Array(0, 8, 12, 16, 18, 20, 22, 24)
@@ -39,8 +40,8 @@ final class Chimp extends Codec {
     val out     = new BitWriter(block.n * block.precision.bytes / 2 + 64)
     val vals    = block.bits
     val stored  = new Array[Long](PrevValues)
-    val indices = new Array[Int](1 << (TrailThreshold + 1))
-    java.util.Arrays.fill(indices, -PrevValues - 1)
+    val table   = indexTables.get.acquire(vals.length)
+    val indices = table.slots
     var storedLz = Int.MaxValue
     var ops      = 0L
 
@@ -49,7 +50,7 @@ final class Chimp extends Codec {
       val v = vals(i)
       if (i == 0) out.writeBits(v, w)
       else {
-        val key = (v & ((1L << (TrailThreshold + 1)) - 1)).toInt
+        val key = (v & KeyMask).toInt
         var refIdx = (i - 1) % PrevValues // default: immediately previous value
         var viaTable = false
         if (i - indices(key) <= PrevValues && indices(key) >= 0) {
@@ -90,11 +91,11 @@ final class Chimp extends Codec {
         }
       }
       stored(i % PrevValues) = v
-      val key2 = (v & ((1L << (TrailThreshold + 1)) - 1)).toInt
-      indices(key2) = i
+      indices((v & KeyMask).toInt) = i
       ops += 18
       i += 1
     }
+    table.release(vals.length)(table.reset(vals))
     Compressed(out.toArray,
                WorkProfile(block.sizeBytes, out.sizeBytes, ops, divergent = false))
   }
@@ -142,4 +143,25 @@ final class Chimp extends Codec {
     val lz = java.lang.Long.numberOfLeadingZeros(x) - (64 - w)
     LeadBuckets(leadCode(math.min(lz, LeadBuckets.last)))
   }
+}
+
+object Chimp {
+  private final val PrevValues     = 128
+  private final val PrevLog2       = 7
+  private final val TrailThreshold = 6 + PrevLog2 // 13, per the Chimp128 reference impl
+  private final val KeyMask        = (1L << (TrailThreshold + 1)) - 1
+  private final val NoIndex        = -PrevValues - 1
+
+  /** The encoder's index of the last position holding each low-bits key. */
+  private final class Index extends ReusedTable((KeyMask + 1).toInt) {
+    val slots = new Array[Int]((KeyMask + 1).toInt)
+    protected def fill(): Unit = java.util.Arrays.fill(slots, NoIndex)
+
+    def reset(vals: Array[Long]): Unit = {
+      var i = 0
+      while (i < vals.length) { slots((vals(i) & KeyMask).toInt) = NoIndex; i += 1 }
+    }
+  }
+
+  private val indexTables = ThreadLocal.withInitial[Index](() => new Index)
 }

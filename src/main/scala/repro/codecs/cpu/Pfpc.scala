@@ -15,14 +15,19 @@ import repro.core._
   * FPC is a double-precision algorithm; single-precision input is handled
   * the way the paper ran it — the raw byte stream is reinterpreted as 64-bit
   * words (padded with zeros to a multiple of 8 bytes).
+  *
+  * The FCM/DFCM tables are per thread and reused across calls (see
+  * [[repro.core.ReusedTable]]). The decoder takes the chunk layout from the
+  * stream, so a stream decodes at any thread count.
   */
 final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCodec {
+  import Pfpc.{dfcmHash, fcmHash}
+
   override def name: String     = "pFPC"
   override def platform: String = "CPU"
   override def withThreads(t: Int): Codec = new Pfpc(t, tableBits)
 
-  private val tableSize = 1 << tableBits
-  private val tableMask = tableSize - 1
+  private val tableMask = (1 << tableBits) - 1
 
   override def compress(block: FpBlock): Compressed = {
     val words  = toWords(block)
@@ -43,9 +48,10 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
     val n         = extent.product.toInt
     val rawBytes  = n * precision.bytes
     val nWords    = (rawBytes + 7) / 8
-    val chunks    = chunkRanges(nWords, threads)
     val nChunks   = readInt(data, 0)
-    require(nChunks == chunks.length, s"chunk count mismatch: $nChunks vs ${chunks.length}")
+    require(nChunks >= 1 && nChunks <= math.max(1, nWords),
+            s"bad chunk count $nChunks for $nWords words")
+    val chunks    = chunkRanges(nWords, nChunks)
     val lengths   = (0 until nChunks).map(i => readInt(data, 4 + 4 * i))
     val offsets   = lengths.scanLeft(4 + 4 * nChunks)(_ + _)
     val words     = new Array[Long](nWords)
@@ -59,8 +65,9 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
 
   private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {
     val out   = new ByteBuf((until - from) * 8 / 2 + 16)
-    val fcm   = new Array[Long](tableSize)
-    val dfcm  = new Array[Long](tableSize)
+    val t     = Pfpc.tables(tableBits).acquire(until - from)
+    val fcm   = t.fcm
+    val dfcm  = t.dfcm
     var fHash = 0
     var dHash = 0
     var last  = 0L
@@ -86,9 +93,9 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       val pF    = fcm(fHash)
       val pD    = dfcm(dHash) + last
       fcm(fHash) = v
-      fHash = ((fHash << 6) ^ (v >>> 48).toInt) & tableMask
+      fHash = fcmHash(fHash, v, tableMask)
       dfcm(dHash) = v - last
-      dHash = ((dHash << 2) ^ ((v - last) >>> 40).toInt) & tableMask
+      dHash = dfcmHash(dHash, v - last, tableMask)
       last = v
 
       val xF = v ^ pF
@@ -104,14 +111,16 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       if (pair == 2) { flushPair(2); pair = 0 }
       i += 1
     }
+    t.release(until - from)(t.reset(words, from, until))
     if (pair == 1) flushPair(1)
     out.toByteArray
   }
 
   private def decompressChunk(data: Array[Byte], offset: Int,
                               words: Array[Long], from: Int, until: Int): Unit = {
-    val fcm   = new Array[Long](tableSize)
-    val dfcm  = new Array[Long](tableSize)
+    val t     = Pfpc.tables(tableBits).acquire(until - from)
+    val fcm   = t.fcm
+    val dfcm  = t.dfcm
     var fHash = 0
     var dHash = 0
     var last  = 0L
@@ -131,15 +140,16 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
         val pD = dfcm(dHash) + last
         val v  = if ((code & 8) == 0) x ^ pF else x ^ pD
         fcm(fHash) = v
-        fHash = ((fHash << 6) ^ (v >>> 48).toInt) & tableMask
+        fHash = fcmHash(fHash, v, tableMask)
         dfcm(dHash) = v - last
-        dHash = ((dHash << 2) ^ ((v - last) >>> 40).toInt) & tableMask
+        dHash = dfcmHash(dHash, v - last, tableMask)
         last = v
         words(i + j) = v
         j += 1
       }
       i += inPair
     }
+    t.release(until - from)(t.reset(words, from, until))
   }
 
   // FPC's 3-bit code covers leading-zero-byte counts {0,1,2,3,5,6,7,8}:
@@ -166,4 +176,52 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
   private def readInt(data: Array[Byte], off: Int): Int =
     (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
     ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
+}
+
+object Pfpc {
+  /** FCM's and DFCM's next table slot, from the current slot and the value
+    * (FCM) or the delta from the previous value (DFCM) just coded.
+    */
+  private def fcmHash(h: Int, v: Long, mask: Int): Int      = ((h << 6) ^ (v >>> 48).toInt) & mask
+  private def dfcmHash(h: Int, delta: Long, mask: Int): Int = ((h << 2) ^ (delta >>> 40).toInt) & mask
+
+  /** One thread's FCM/DFCM table pair. */
+  private[cpu] final class Tables(val bits: Int) extends ReusedTable(1 << bits) {
+    val fcm  = new Array[Long](1 << bits)
+    val dfcm = new Array[Long](1 << bits)
+
+    protected def fill(): Unit = {
+      java.util.Arrays.fill(fcm, 0L)
+      java.util.Arrays.fill(dfcm, 0L)
+    }
+
+    /** Zero the slots that coding `words(from until until)` wrote, by
+      * replaying the coder's hash recurrence.
+      */
+    def reset(words: Array[Long], from: Int, until: Int): Unit = {
+      val mask  = fcm.length - 1
+      var fHash = 0
+      var dHash = 0
+      var last  = 0L
+      var i     = from
+      while (i < until) {
+        val v = words(i)
+        fcm(fHash) = 0L
+        dfcm(dHash) = 0L
+        fHash = fcmHash(fHash, v, mask)
+        dHash = dfcmHash(dHash, v - last, mask)
+        last = v
+        i += 1
+      }
+    }
+  }
+
+  private val perThread = new ThreadLocal[Tables]
+
+  /** This thread's table pair, reallocated only when `bits` changes. */
+  private[cpu] def tables(bits: Int): Tables = {
+    var t = perThread.get
+    if (t == null || t.bits != bits) { t = new Tables(bits); perThread.set(t) }
+    t
+  }
 }

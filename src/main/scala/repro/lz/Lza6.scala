@@ -14,12 +14,31 @@ import repro.core.{BitReader => _, _}
   *
   * The decoder stops when the known output length is reached, so the final
   * sequence legitimately carries no match.
+  *
+  * The 2^16-entry `head` table is per thread and reused across calls (see
+  * [[repro.core.ReusedTable]]). `prev` is allocated per call: it is never
+  * read before it is written, and keeping it would pin an input-sized array
+  * per thread.
   */
 object Lza6 {
   private val MinMatch  = 4
   private val Window    = 1 << 16
   private val HashBits  = 16
   private val MaxChain  = 48
+
+  /** Most recent position of each 4-byte hash, -1 for none. */
+  private final class Head extends ReusedTable(1 << HashBits) {
+    val slots = new Array[Int](1 << HashBits)
+    protected def fill(): Unit = java.util.Arrays.fill(slots, -1)
+
+    /** Only positions 0..len-4 are ever inserted. */
+    def reset(in: Array[Byte]): Unit = {
+      var i = 0
+      while (i + MinMatch <= in.length) { slots(hash4(in, i)) = -1; i += 1 }
+    }
+  }
+
+  private val heads = ThreadLocal.withInitial[Head](() => new Head)
 
   private def hash4(b: Array[Byte], i: Int): Int = {
     val v = ((b(i) & 0xff) << 24) | ((b(i + 1) & 0xff) << 16) |
@@ -31,10 +50,11 @@ object Lza6 {
     * loop (used for roofline / GPU branch-divergence modeling).
     */
   def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
-    val out  = new ByteBuf(in.length / 2 + 64)
-    val head = Array.fill(1 << HashBits)(-1)
-    val prev = new Array[Int](in.length)
-    var ops  = 0L
+    val out   = new ByteBuf(in.length / 2 + 64)
+    val table = heads.get.acquire(in.length)
+    val head  = table.slots
+    val prev  = new Array[Int](in.length)
+    var ops   = 0L
 
     var i       = 0
     var litFrom = 0
@@ -83,6 +103,7 @@ object Lza6 {
         i += 1
       }
     }
+    table.release(in.length)(table.reset(in))
     if (litFrom < in.length || in.isEmpty) emit(in.length, 0, 0)
     else if (litFrom == in.length && out.size == 0) emit(in.length, 0, 0)
 
