@@ -24,16 +24,12 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
   override def compress(block: FpBlock): Compressed = {
     val raw      = block.toBytes
     val elemSize = block.precision.bytes
-    val ranges   = blockRanges(raw.length)
+    val ranges   = Frame.fixedRanges(raw.length, blockBytes)
     val parts = Parallel.map(ranges, threads) { case (from, until) =>
       val shuffled = shuffle(raw, from, until, elemSize)
       encode(shuffled)
     }
-    val out = new ByteBuf()
-    writeInt(out, parts.length)
-    parts.foreach(p => writeInt(out, p.length))
-    parts.foreach(out.write)
-    val bytes = out.toByteArray
+    val bytes = Frame.write(parts).toByteArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 3, bytes.length,
                                   raw.length.toLong * 10, divergent = false))
   }
@@ -41,27 +37,17 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen   = extent.product.toInt * precision.bytes
     val elemSize = precision.bytes
-    val ranges   = blockRanges(rawLen)
-    val nParts   = readInt(data, 0)
-    require(nParts == ranges.length, s"block count mismatch: $nParts vs ${ranges.length}")
-    val lengths = (0 until nParts).map(i => readInt(data, 4 + 4 * i))
-    val offsets = lengths.scanLeft(4 + 4 * nParts)(_ + _)
-    val raw     = new Array[Byte](rawLen)
-    Parallel.map(ranges.indices.toIndexedSeq, threads) { bi =>
+    val ranges   = Frame.fixedRanges(rawLen, blockBytes)
+    val offsets  = Frame.read(data, ranges.length, ranges.length)
+    val raw      = new Array[Byte](rawLen)
+    Parallel.map(ranges.indices, threads) { bi =>
       val (from, until) = ranges(bi)
-      val part     = java.util.Arrays.copyOfRange(data, offsets(bi), offsets(bi) + lengths(bi))
+      val part     = java.util.Arrays.copyOfRange(data, offsets(bi), offsets(bi + 1))
       val shuffled = decode(part, until - from)
       unshuffle(shuffled, raw, from, until, elemSize)
     }
     Decompressed(FpBlock.fromBytes(precision, extent, raw),
                  WorkProfile(data.length, rawLen, rawLen.toLong * 10, divergent = false))
-  }
-
-  private def blockRanges(rawLen: Int): IndexedSeq[(Int, Int)] = {
-    val b = math.max(1, blockBytes)
-    (0 until math.max(1, (rawLen + b - 1) / b)).map { i =>
-      (i * b, math.min(rawLen, (i + 1) * b))
-    }
   }
 
   /** Bit-transpose `in(from until until)` in 4096-byte chunks. Bytes beyond
@@ -150,12 +136,6 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
     x = x ^ t ^ (t << 28)
     x
   }
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */

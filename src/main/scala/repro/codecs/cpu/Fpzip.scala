@@ -44,7 +44,7 @@ final class Fpzip extends Codec {
     val symBytes = enc.finish()
     val rawBytes = raw.toArray
     val out      = new ByteBuf(symBytes.length + rawBytes.length + 8)
-    writeInt(out, symBytes.length)
+    out.writeIntLE(symBytes.length)
     out.write(symBytes)
     out.write(rawBytes)
     val bytes = out.toByteArray
@@ -55,7 +55,7 @@ final class Fpzip extends Codec {
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val w        = precision.bits
     val n        = extent.product.toInt
-    val symLen   = readInt(data, 0)
+    val symLen   = ByteBuf.readWordLE(data, 0, 4).toInt
     val dec      = new RangeDecoder(data, 4)
     val raw      = new BitReader(data, 4 + symLen)
     val model    = new AdaptiveModel(w + 1)
@@ -120,10 +120,4 @@ final class Fpzip extends Codec {
              v(i - planeSz - nz - 1)
     }
   }
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }

@@ -213,7 +213,7 @@ object NdzipCore {
 
   /** Full-stream compression over the true extent: aligned hypercube tiles
     * through the pipeline, the border region verbatim.
-    * Layout: [nTiles:4][len_i:4 x nTiles][payloads][border values raw].
+    * Layout: a [[repro.core.Frame]] of the tiles, then the border values raw.
     */
   def compress(block: FpBlock, threads: Int): Compressed = {
     val w    = block.precision.bits
@@ -224,10 +224,7 @@ object NdzipCore {
       moveTile(vals, buf, g, t, gather = true)
       compressTile(buf, g.dims, w)
     }
-    val out = new ByteBuf()
-    out.writeIntLE(g.nTiles)
-    parts.foreach(p => out.writeIntLE(p.length))
-    parts.foreach(out.write)
+    val out = Frame.write(parts)
     var i = 0
     while (i < vals.length) {
       if (g.nTiles == 0 || !inAligned(i, g)) out.writeWordLE(vals(i), w / 8)
@@ -243,16 +240,14 @@ object NdzipCore {
     val w = precision.bits
     val g = geometry(extent)
     val n = extent.product.toInt
-    val nT = readInt(data, 0)
-    require(nT == g.nTiles, s"tile count mismatch: $nT vs ${g.nTiles}")
-    val lengths = (0 until nT).map(i => readInt(data, 4 + 4 * i))
-    val offsets = lengths.scanLeft(4 + 4 * nT)(_ + _)
+    val nT      = g.nTiles
+    val offsets = Frame.read(data, nT, nT)
     val vals    = new Array[Long](n)
-    Parallel.map((0 until nT).toIndexedSeq, threads) { t =>
+    Parallel.map(0 until nT, threads) { t =>
       val (buf, _) = decompressBlock(data, offsets(t), g.dims, w)
       moveTile(vals, buf, g, t, gather = false)
     }
-    var pos = offsets.last
+    var pos = offsets(nT)
     var i = 0
     while (i < n) {
       if (nT == 0 || !inAligned(i, g)) { vals(i) = ByteBuf.readWordLE(data, pos, w / 8); pos += w / 8 }
@@ -267,10 +262,6 @@ object NdzipCore {
   // ------------------------------------------------------------- util ------
 
   private def pow(b: Int, e: Int): Int = { var r = 1; var i = 0; while (i < e) { r *= b; i += 1 }; r }
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 /** ndzip-CPU — the SIMD+threads implementation; here, thread parallelism

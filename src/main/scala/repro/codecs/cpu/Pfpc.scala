@@ -35,11 +35,7 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
     val parts  = Parallel.map(chunks, threads) { case (from, until) =>
       compressChunk(words, from, until)
     }
-    val out = new ByteBuf()
-    writeInt(out, chunks.length)
-    parts.foreach(p => writeInt(out, p.length))
-    parts.foreach(out.write)
-    val bytes = out.toByteArray
+    val bytes = Frame.write(parts).toByteArray
     Compressed(bytes, WorkProfile(words.length.toLong * 8, bytes.length,
                                   words.length.toLong * 20, divergent = false))
   }
@@ -48,12 +44,8 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
     val n         = extent.product.toInt
     val rawBytes  = n * precision.bytes
     val nWords    = (rawBytes + 7) / 8
-    val nChunks   = readInt(data, 0)
-    require(nChunks >= 1 && nChunks <= math.max(1, nWords),
-            s"bad chunk count $nChunks for $nWords words")
-    val chunks    = chunkRanges(nWords, nChunks)
-    val lengths   = (0 until nChunks).map(i => readInt(data, 4 + 4 * i))
-    val offsets   = lengths.scanLeft(4 + 4 * nChunks)(_ + _)
+    val offsets   = Frame.read(data, 1, math.max(1, nWords))
+    val chunks    = chunkRanges(nWords, offsets.length - 1)
     val words     = new Array[Long](nWords)
     Parallel.map(chunks.indices.toIndexedSeq, threads) { ci =>
       val (from, until) = chunks(ci)
@@ -170,12 +162,6 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
 
   private def fromWords(words: Array[Long], precision: Precision, extent: Seq[Long]): FpBlock =
     Words.unpack(words, precision, extent)
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 object Pfpc {

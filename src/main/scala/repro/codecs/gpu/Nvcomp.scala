@@ -16,33 +16,24 @@ final class NvLz4(chunkBytes: Int = 65536) extends Codec {
   override def platform: String = "GPU"
 
   override def compress(block: FpBlock): Compressed = {
-    val raw    = block.toBytes
-    val nChunk = math.max(1, (raw.length + chunkBytes - 1) / chunkBytes)
-    val out    = new ByteBuf()
-    writeInt(out, nChunk)
-    val parts = (0 until nChunk).map { i =>
-      val from  = i * chunkBytes
-      val until = math.min(raw.length, from + chunkBytes)
+    val raw   = block.toBytes
+    val parts = Frame.fixedRanges(raw.length, chunkBytes).map { case (from, until) =>
       Lz4Backend.compress(java.util.Arrays.copyOfRange(raw, from, until))
     }
-    parts.foreach(p => writeInt(out, p.length))
-    parts.foreach(out.write)
-    val bytes = out.toByteArray
+    val bytes = Frame.write(parts).toByteArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
                                   raw.length.toLong * 12, divergent = true))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
-    val rawLen = extent.product.toInt * precision.bytes
-    val nChunk = readInt(data, 0)
-    val lengths = (0 until nChunk).map(i => readInt(data, 4 + 4 * i))
-    val offsets = lengths.scanLeft(4 + 4 * nChunk)(_ + _)
+    val rawLen  = extent.product.toInt * precision.bytes
+    val ranges  = Frame.fixedRanges(rawLen, chunkBytes)
+    val offsets = Frame.read(data, ranges.length, ranges.length)
     val raw     = new Array[Byte](rawLen)
-    (0 until nChunk).foreach { i =>
-      val from   = i * chunkBytes
-      val until  = math.min(rawLen, from + chunkBytes)
-      val part   = java.util.Arrays.copyOfRange(data, offsets(i), offsets(i) + lengths(i))
-      val dec    = Lz4Backend.decompress(part, until - from)
+    ranges.indices.foreach { i =>
+      val (from, until) = ranges(i)
+      val part = java.util.Arrays.copyOfRange(data, offsets(i), offsets(i + 1))
+      val dec  = Lz4Backend.decompress(part, until - from)
       System.arraycopy(dec, 0, raw, from, until - from)
     }
     // ~20 ops/byte: LZ4 match copies form a sequential dependency chain,
@@ -51,12 +42,6 @@ final class NvLz4(chunkBytes: Int = 65536) extends Codec {
                  WorkProfile(data.length + rawLen, rawLen, rawLen.toLong * 20,
                              divergent = false))
   }
-
-  private def writeInt(out: ByteBuf, v: Int): Unit = out.writeIntLE(v)
-
-  private def readInt(data: Array[Byte], off: Int): Int =
-    (data(off) & 0xff) | ((data(off + 1) & 0xff) << 8) |
-    ((data(off + 2) & 0xff) << 16) | ((data(off + 3) & 0xff) << 24)
 }
 
 /** nvCOMP::bitcomp substitute. Per Table 1 bitcomp's trait is

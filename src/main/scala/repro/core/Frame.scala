@@ -1,0 +1,56 @@
+package repro.core
+
+/** The chunk container of the parallel codecs (pFPC, bitshuffle, nvCOMP::LZ4,
+  * ndzip), whose chunks are coded independently:
+  *
+  *   [count:4][len_i:4 x count][payload_i ...]
+  *
+  * with little-endian ints. A codec may append its own data after the last
+  * payload (ndzip's raw border values). This is the only code that knows the
+  * layout.
+  */
+object Frame {
+
+  /** A buffer holding the frame of `parts`, for the caller to append to. */
+  def write(parts: Seq[Array[Byte]]): ByteBuf = {
+    val out = new ByteBuf(4 + 4 * parts.length + parts.foldLeft(0)(_ + _.length))
+    out.writeIntLE(parts.length)
+    parts.foreach(p => out.writeIntLE(p.length))
+    parts.foreach(out.write)
+    out
+  }
+
+  /** Payload offsets of the frame at the start of `data`: payload `i` spans
+    * `offsets(i) until offsets(i + 1)`, and `offsets(count)` is where the
+    * frame ends. The count must lie in `minCount..maxCount` with all its
+    * lengths inside `data`, which is checked before any length is read or
+    * the offsets allocated; then every payload must end inside `data`.
+    */
+  def read(data: Array[Byte], minCount: Int, maxCount: Int): Array[Int] = {
+    require(data.length >= 4, s"stream of ${data.length} bytes has no chunk count")
+    val count = ByteBuf.readWordLE(data, 0, 4).toInt
+    require(count >= minCount && count <= maxCount, s"chunk count $count outside $minCount..$maxCount")
+    require(4L + 4L * count <= data.length, s"$count chunk lengths overrun a ${data.length}-byte stream")
+    val offsets = new Array[Int](count + 1)
+    offsets(0) = 4 + 4 * count
+    var i = 0
+    while (i < count) {
+      val len = ByteBuf.readWordLE(data, 4 + 4 * i, 4).toInt
+      require(len >= 0 && len <= data.length - offsets(i),
+              s"chunk $i of $len bytes at ${offsets(i)} overruns a ${data.length}-byte stream")
+      offsets(i + 1) = offsets(i) + len
+      i += 1
+    }
+    offsets
+  }
+
+  /** `0 until len` cut into consecutive `(from, until)` ranges of `size`,
+    * the last one shorter; one empty range when `len` is 0.
+    */
+  def fixedRanges(len: Int, size: Int): IndexedSeq[(Int, Int)] = {
+    require(size >= 1, s"bad range size: $size")
+    (0 until math.max(1L, (len.toLong + size - 1) / size).toInt).map { i =>
+      (i * size, math.min(len.toLong, (i + 1).toLong * size).toInt)
+    }
+  }
+}

@@ -40,6 +40,43 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     })
   }
 
+  test("property: Frame.read returns the running sum of the lengths Frame.write stored") {
+    val partsGen = Gen.listOf(Gen.choose(0, 300).map(n => Array.tabulate(n)(i => (i * 7 + n).toByte)))
+    checkProp(Prop.forAll(partsGen, Gen.choose(0, 20)) { (parts, appended) =>
+      val out = Frame.write(parts)
+      (0 until appended).foreach(out.write)
+      val data    = out.toByteArray
+      val offsets = Frame.read(data, parts.length, parts.length)
+      offsets.toSeq == parts.map(_.length).scanLeft(4 + 4 * parts.length)(_ + _) &&
+        parts.indices.forall(i => data.slice(offsets(i), offsets(i + 1)).sameElements(parts(i))) &&
+        data.length - offsets(parts.length) == appended
+    })
+  }
+
+  test("Frame.read rejects a count outside the accepted range or past the stream") {
+    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3))).toByteArray
+    assert(Frame.read(data, 1, 2).toSeq == Seq(12, 14, 15))
+    intercept[IllegalArgumentException](Frame.read(data, 3, 3))
+    intercept[IllegalArgumentException](Frame.read(data, 0, 1))
+    intercept[IllegalArgumentException](Frame.read(data.take(3), 0, 2))
+    // a count of 2^30: 4 * count wraps to 0 in Int arithmetic
+    val huge = data.clone()
+    huge(0) = 0; huge(1) = 0; huge(2) = 0; huge(3) = 0x40
+    intercept[IllegalArgumentException](Frame.read(huge, 0, Int.MaxValue))
+  }
+
+  test("property: Frame.fixedRanges tiles 0 until len with ranges of the given size") {
+    checkProp(Prop.forAll(Gen.choose(0, 100000), Gen.choose(1, 70000)) { (len, size) =>
+      val r = Frame.fixedRanges(len, size)
+      r.head._1 == 0 && r.last._2 == len && r.zip(r.tail).forall { case (a, b) => a._2 == b._1 } &&
+        r.init.forall { case (from, until) => until - from == size } &&
+        r.last._2 - r.last._1 <= size && (len == 0 || r.last._2 > r.last._1)
+    })
+    // (i + 1) * size overflows Int for the last range
+    assert(Frame.fixedRanges(Int.MaxValue, 1 << 30) == Seq((0, 1 << 30), (1 << 30, Int.MaxValue)))
+    intercept[IllegalArgumentException](Frame.fixedRanges(10, 0))
+  }
+
   test("Words.pack is identity for doubles") {
     val blk = FpBlock.fromDoubles(Array(1.0, 2.0, 3.0))
     assert(Words.pack(blk) eq blk.bits)

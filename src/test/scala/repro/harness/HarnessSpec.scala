@@ -91,4 +91,11 @@ class HarnessSpec extends SparkSpec {
     val s = points(1).compMBps / points(0).compMBps
     assert(s > 0.6, s"8-thread throughput collapsed to ${s}x of serial")
   }
+
+  test("jobs.Run rejects an unknown table and lists the known ones") {
+    for (args <- Seq(Array("12"), Array("table4"), Array.empty[String], Array("4", "5"))) {
+      val e = intercept[IllegalArgumentException](jobs.Run.main(args))
+      assert(e.getMessage.contains("4, 5, 6, 7, 8, 9, 10, 11"), e.getMessage)
+    }
+  }
 }
