@@ -63,16 +63,14 @@ final class Chimp extends Codec {
         val xor = (v ^ stored(refIdx)) & mask(w)
         if (viaTable) {
           if (xor == 0) {
-            out.writeBits(0L, 2) // 00
-            out.writeBits(refIdx.toLong, PrevLog2)
+            out.writeBits(refIdx.toLong, 2 + PrevLog2) // 00, index
           } else {
             val lz  = leadBucketOf(xor, w)
             val tz  = java.lang.Long.numberOfTrailingZeros(xor)
             val sig = w - lz - tz
-            out.writeBits(1L, 2) // 01
-            out.writeBits(refIdx.toLong, PrevLog2)
-            out.writeBits(leadCode(lz).toLong, 3)
-            out.writeBits(sig.toLong, lenBits)
+            // 01, index, lead code, length
+            out.writeBits((1L << (PrevLog2 + 3 + lenBits)) | (refIdx.toLong << (3 + lenBits)) |
+                            (leadCode(lz).toLong << lenBits) | sig, 2 + PrevLog2 + 3 + lenBits)
             out.writeBits(xor >>> tz, sig)
           }
           storedLz = Int.MaxValue
@@ -84,8 +82,7 @@ final class Chimp extends Codec {
             out.writeBits(xor, w - lz)
           } else {
             storedLz = lz
-            out.writeBits(3L, 2) // 11
-            out.writeBits(leadCode(lz).toLong, 3)
+            out.writeBits((3L << 3) | leadCode(lz), 2 + 3) // 11, lead code
             out.writeBits(xor, w - lz)
           }
         }
@@ -116,9 +113,10 @@ final class Chimp extends Codec {
           case 0 =>
             stored(in.readBits(PrevLog2).toInt)
           case 1 =>
-            val refIdx = in.readBits(PrevLog2).toInt
-            val lz     = LeadBuckets(in.readBits(3).toInt)
-            val sig    = in.readBits(lenBits).toInt
+            val hdr    = in.readBits(PrevLog2 + 3 + lenBits).toInt
+            val refIdx = hdr >>> (3 + lenBits)
+            val lz     = LeadBuckets((hdr >>> lenBits) & 7)
+            val sig    = hdr & ((1 << lenBits) - 1)
             val tz     = w - lz - sig
             storedLz = Int.MaxValue
             stored(refIdx) ^ (in.readBits(sig) << tz)

@@ -42,13 +42,13 @@ final class Gorilla extends Codec {
           val lz = math.min(leadingZeros(xor, w), 31)
           val tz = java.lang.Long.numberOfTrailingZeros(xor)
           if (prevLz >= 0 && lz >= prevLz && tz >= prevTz) {
-            out.writeBit(1); out.writeBit(0)
-            out.writeBits(xor >>> prevTz, w - prevLz - prevTz)
+            val len = w - prevLz - prevTz
+            if (len <= 62) out.writeBits((2L << len) | (xor >>> prevTz), 2 + len)
+            else { out.writeBits(2L, 2); out.writeBits(xor >>> prevTz, len) }
           } else {
-            out.writeBit(1); out.writeBit(1)
             val len = w - lz - tz
-            out.writeBits(lz.toLong, 5)
-            out.writeBits(if (len == w) 0L else len.toLong, lenBits)
+            out.writeBits((3L << (5 + lenBits)) | (lz.toLong << lenBits) |
+                            (if (len == w) 0L else len.toLong), 2 + 5 + lenBits)
             out.writeBits(xor >>> tz, len)
             prevLz = lz; prevTz = tz
           }
@@ -78,8 +78,9 @@ final class Gorilla extends Codec {
         else if (in.readBit() == 0) prev
         else if (in.readBit() == 0) prev ^ (in.readBits(w - prevLz - prevTz) << prevTz)
         else {
-          val lz     = in.readBits(5).toInt
-          val lenRaw = in.readBits(lenBits).toInt
+          val hdr    = in.readBits(5 + lenBits).toInt
+          val lz     = hdr >>> lenBits
+          val lenRaw = hdr & ((1 << lenBits) - 1)
           val len    = if (lenRaw == 0) w else lenRaw
           val tz     = w - lz - len
           prevLz = lz; prevTz = tz

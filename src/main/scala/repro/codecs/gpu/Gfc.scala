@@ -37,10 +37,8 @@ final class Gfc extends Codec {
         val mag  = if (neg) -r else r
         var lzb  = java.lang.Long.numberOfLeadingZeros(mag) / 8
         if (lzb > 7) lzb = 7
-        out.writeBit(if (neg) 1 else 0)
-        out.writeBits(lzb.toLong, 3)
-        var b = 8 - lzb - 1
-        while (b >= 0) { out.writeBits((mag >>> (8 * b)) & 0xff, 8); b -= 1 }
+        out.writeBits((if (neg) 8L else 0L) | lzb, 4)
+        out.writeBits(mag, 8 * (8 - lzb))
         i += 1
       }
       prevLast = last
@@ -64,11 +62,9 @@ final class Gfc extends Codec {
       val end = math.min(base + Sub, nWords)
       var i = base
       while (i < end) {
-        val neg = in.readBit() == 1
-        val lzb = in.readBits(3).toInt
-        var mag = 0L
-        var b   = 8 - lzb - 1
-        while (b >= 0) { mag = (mag << 8) | in.readBits(8); b -= 1 }
+        val hdr = in.readBits(4).toInt
+        val neg = hdr >= 8
+        val mag = in.readBits(8 * (8 - (hdr & 7)))
         words(i) = prevLast + (if (neg) -mag else mag)
         i += 1
       }

@@ -30,6 +30,8 @@ object FrameCodecGoldenSpec {
     ("shf+zstd(1)", new BitshuffleZstd(1)) -> 1, ("shf+zstd(4)", new BitshuffleZstd(4)) -> 1,
     ("nv:LZ4", new NvLz4) -> 2, ("fpzip", new Fpzip) -> 3)
 
+  val PinnedCodecs: Set[String] = Codecs.map(_._1._2.name).toSet
+
   val Inputs: Seq[(String, FpBlock)] = TestInputs.corpus ++ Seq(
     "page-512-double"     -> TestInputs.smooth1dD(512),
     "page-1024-single"    -> TestInputs.runsS(1024),

@@ -32,6 +32,8 @@ object TableCodecGoldenSpec {
     "pFPC(1)" -> new Pfpc(1), "pFPC(4)" -> new Pfpc(4), "pFPC(8)" -> new Pfpc(8),
     "SPDP" -> new Spdp, "Chimp" -> new Chimp)
 
+  val PinnedCodecs: Set[String] = Codecs.map(_._2.name).toSet
+
   val Inputs: Seq[(String, FpBlock)] = TestInputs.corpus ++ Seq(
     "page-512-double"  -> TestInputs.smooth1dD(512),
     "page-1024-single" -> TestInputs.runsS(1024),

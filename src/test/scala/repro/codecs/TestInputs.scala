@@ -92,6 +92,21 @@ object TestInputs {
     FpBlock.fromFloats(vals)
   }
 
+  /** A Gaussian random walk: long blocks whose deltas and XORs span from a
+    * few bits to the full word each time the walk crosses zero.
+    */
+  def randomWalkD(n: Int, seed: Long = 23): FpBlock = {
+    val rng = new scala.util.Random(seed)
+    var x   = 0.0
+    FpBlock.fromDoubles(Array.fill(n) { x += rng.nextGaussian(); x })
+  }
+
+  def randomWalkS(n: Int, seed: Long = 29): FpBlock = {
+    val rng = new scala.util.Random(seed)
+    var x   = 0.0
+    FpBlock.fromFloats(Array.fill(n) { x += rng.nextGaussian(); x.toFloat })
+  }
+
   /** (name, block) matrix covering the codec-relevant input space. */
   def corpus: Seq[(String, FpBlock)] = Seq(
     "smooth-1d-double"      -> smooth1dD(5000),
