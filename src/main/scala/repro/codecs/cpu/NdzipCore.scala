@@ -242,6 +242,9 @@ object NdzipCore {
     val n = extent.product.toInt
     val nT      = g.nTiles
     val offsets = Frame.read(data, nT, nT)
+    val border  = (n - nT.toLong * BlockElems) * (w / 8)
+    require(data.length - offsets(nT) == border,
+            s"${data.length - offsets(nT)} bytes after the tiles, expected a $border-byte border")
     val vals    = new Array[Long](n)
     Parallel.map(0 until nT, threads) { t =>
       val (buf, _) = decompressBlock(data, offsets(t), g.dims, w)

@@ -41,7 +41,9 @@ trait Codec extends Serializable {
   /** Short name matching the paper's table columns, e.g. "shf+zstd". */
   def name: String
 
-  /** "CPU" or "GPU" — decides measured vs. modeled timing. */
+  /** "CPU" or "GPU" — decides measured vs. modeled timing in
+    * [[repro.harness.Measure]].
+    */
   def platform: String
 
   /** Whether the codec uses thread-level parallelism (Table 7/8 eligibility). */

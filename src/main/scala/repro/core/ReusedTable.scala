@@ -15,8 +15,8 @@ package repro.core
   *   - a call that throws leaves the table dirty.
   *
   * Subclasses live in a codec's companion object behind a `ThreadLocal`,
-  * never in a codec field: codecs are serialized to Spark executors, and
-  * harnesses build a codec per cell.
+  * never in a codec field: a codec is `Serializable`, and one instance is
+  * shared by every thread that calls it.
   */
 abstract class ReusedTable(size: Int) {
   private var dirty = true

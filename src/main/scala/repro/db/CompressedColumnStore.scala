@@ -3,8 +3,7 @@ package repro.db
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.harness.CompressionBench
-import repro.gpusim.GpuModel
+import repro.harness.Measure
 
 /** The paper's "simulated in-memory database" (§5.1.2), ported from
   * HDF5 + Pandas to Parquet + Spark DataFrames (substitution #4 in
@@ -37,7 +36,8 @@ object CompressedColumnStore {
   /** Read chunks from Parquet (timed), decode them (timed), then run the
     * paper's query set — full table scans `value <= v_i` for 10 histogram
     * thresholds — on a Spark DataFrame over the decoded column (timed).
-    * GPU codecs report cost-model decode time, as everywhere else.
+    * Reads and decodes are timed by [[Measure]]; a GPU codec's decode time
+    * is modelled end to end, copying the payloads in and the values out.
     */
   def readDecodeQuery(spark: SparkSession, path: String, dataset: String,
                       codec: Codec, precision: Precision): QueryTiming = {
@@ -45,43 +45,23 @@ object CompressedColumnStore {
 
     // best-of-N timing throughout: this VM shows multi-second CPU-steal dips
     // that would otherwise dominate the ~10-100 ms differences under test
-    spark.read.parquet(path).as[ChunkRow].count() // warm the file cache
-    val (chunks, readNs0) = CompressionBench.timedNs {
+    val (chunks, readSec) = Measure.best(2) {
       spark.read.parquet(path).as[ChunkRow].collect().sortBy(_.blockId)
     }
-    val (_, readNs1) = CompressionBench.timedNs {
-      spark.read.parquet(path).as[ChunkRow].collect()
-    }
-    val readNs = math.min(readNs0, readNs1)
-
-    def decodeAll(): (Array[Double], WorkProfile) = {
-      var work = WorkProfile.zero
-      val parts = chunks.map { c =>
-        val d = codec.decompress(c.payload, precision, Seq(c.n))
-        work = work + d.work
-        d.block.toDoubles
-      }
-      (parts.flatten, work)
-    }
-    val ((values, decodeWork), decodeNs0) = CompressionBench.timedNs(decodeAll())
-    val decodeNs = (1 to 2).foldLeft(decodeNs0) { (best, _) =>
-      math.min(best, CompressionBench.timedNs(decodeAll())._2)
-    }
-    val decodeSec =
-      if (codec.platform == "GPU")
-        GpuModel.kernelSeconds(decodeWork) +
-          GpuModel.transferSeconds(chunks.map(_.payload.length.toLong).sum + values.length * 8L)
-      else decodeNs / 1e9
+    val ((values, _), decode) = Measure.codec(codec, 3) {
+      val ds = chunks.map(c => codec.decompress(c.payload, precision, Seq(c.n)))
+      (ds.flatMap(_.block.toDoubles), ds.map(_.work).foldLeft(WorkProfile.zero)(_ + _))
+    } { case (values, work) => (work, chunks.map(_.payload.length.toLong).sum, values.length * 8L) }
 
     val df = spark.createDataset(values.toSeq).toDF("value").cache()
     df.count() // materialize outside the timed section
     val thresholds = histogramThresholds(values)
-    val (counts, queryNs) = CompressionBench.timedNs {
+    val (counts, querySec) = Measure.once {
       thresholds.map(v => df.filter(col("value") <= v).count())
     }
     df.unpersist()
 
-    QueryTiming(dataset, codec.name, readNs / 1e6, decodeSec * 1e3, queryNs / 1e6, counts)
+    QueryTiming(dataset, codec.name, readSec * 1e3, decode.endToEnd * 1e3, querySec * 1e3, counts)
   }
 
   /** The decoded column as a DataFrame (for oracle verification in tests). */

@@ -1,7 +1,6 @@
 package repro.harness
 
 import repro.core._
-import repro.gpusim.GpuModel
 
 /** Block-size sweep support (Table 10): compress a dataset as a sequence of
   * independent fixed-size blocks — the HDF5-chunk / database-page regime —
@@ -30,46 +29,25 @@ object BlockedRunner {
     }.toSeq
   }
 
+  /** Aggregate CR/CT/DT of `codec` over the `blockBytes` parts of `block`;
+    * each direction's time covers only the codec calls, timed by [[Measure.codec]].
+    */
   def run(codec: Codec, block: FpBlock, blockBytes: Int, iters: Int = 2): BlockedResult = {
     val parts = split(block, blockBytes)
-
-    def compressAll(): (Seq[Compressed], WorkProfile) = {
-      val cs = parts.map(codec.compress)
-      (cs, cs.map(_.work).foldLeft(WorkProfile.zero)(_ + _))
-    }
-    val (comps, compWork) = compressAll()
-
-    def decompressAll(): (Seq[Decompressed], WorkProfile) = {
-      val ds = comps.zip(parts).map { case (c, p) =>
-        codec.decompress(c.bytes, p.precision, p.extent)
-      }
-      (ds, ds.map(_.work).foldLeft(WorkProfile.zero)(_ + _))
-    }
-    val (decs, decompWork) = decompressAll()
-
-    val lossless = decs.zip(parts).forall { case (d, p) => d.block.bits.sameElements(p.bits) }
+    def total(ws: Seq[WorkProfile]) = ws.foldLeft(WorkProfile.zero)(_ + _)
     val origBytes = block.sizeBytes
-    val compBytes = comps.map(_.bytes.length.toLong).sum
 
-    val (compSec, decompSec) =
-      if (codec.platform == "GPU")
-        (GpuModel.kernelSeconds(compWork), GpuModel.kernelSeconds(decompWork))
-      else {
-        var cNs = Long.MaxValue; var dNs = Long.MaxValue
-        var i = 0
-        while (i < iters) {
-          val (_, cn) = CompressionBench.timedNs(parts.foreach(codec.compress))
-          val (_, dn) = CompressionBench.timedNs(decompressAll())
-          cNs = math.min(cNs, cn); dNs = math.min(dNs, dn)
-          i += 1
-        }
-        (cNs / 1e9, dNs / 1e9)
-      }
+    val (comps, ct) = Measure.codec(codec, iters)(parts.map(codec.compress))(
+      cs => (total(cs.map(_.work)), origBytes, cs.map(_.bytes.length.toLong).sum))
+    val compBytes = comps.map(_.bytes.length.toLong).sum
+    val (decs, dt) = Measure.codec(codec, iters)(
+      comps.lazyZip(parts).map((c, p) => codec.decompress(c.bytes, p.precision, p.extent)))(
+      ds => (total(ds.map(_.work)), compBytes, origBytes))
 
     BlockedResult(codec.name, blockBytes,
                   origBytes.toDouble / compBytes,
-                  origBytes.toDouble / compSec / 1e9,
-                  origBytes.toDouble / decompSec / 1e9,
-                  lossless)
+                  origBytes.toDouble / ct.kernel / 1e9,
+                  origBytes.toDouble / dt.kernel / 1e9,
+                  decs.lazyZip(parts).forall((d, p) => d.block.bits.sameElements(p.bits)))
   }
 }

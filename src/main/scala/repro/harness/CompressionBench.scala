@@ -1,9 +1,8 @@
 package repro.harness
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.{DatasetSpec, FcDatasets}
-import repro.gpusim.GpuModel
 
 /** One (dataset x codec) measurement — the row Tables 4/5/6 aggregate over.
   *
@@ -23,95 +22,38 @@ final case class MetricsRow(
   def dtGBps: Double = origBytes.toDouble / decompSec / 1e9
 }
 
-/** The core benchmark: run every (dataset, codec) cell of the FCBench grid as
-  * per-partition work inside Spark executors. Dataset blocks are materialized
-  * once on the driver (the corpus is MB-scale), broadcast, and each Spark
-  * task executes one cell; timed sections serialize on a JVM-wide lock so
-  * concurrent tasks do not distort each other's throughput measurements.
+/** The core benchmark: every (dataset, codec) cell of the FCBench grid.
+  * Spark generates the dataset blocks (the corpus is MB-scale); the cells
+  * are then measured one at a time on the driver with [[Measure]].
   */
 object CompressionBench {
 
-  /** JVM-global lock: only one timed section runs at a time (local mode puts
-    * all executor threads in one JVM).
-    */
-  private object TimingLock
-
-  def timedNs[A](f: => A): (A, Long) = TimingLock.synchronized {
-    val t0 = System.nanoTime()
-    val a  = f
-    (a, System.nanoTime() - t0)
-  }
-
-  /** Measure one codec over one block. CPU methods: best-of-`iters` measured
-    * wall time (JIT warmup discarded); GPU methods: cost-model time from the
-    * work profile of a verified run.
-    *
-    * The whole cell serializes on [[TimingLock]]: concurrent Spark tasks
-    * running *untimed* work (warmup, verification) would otherwise steal CPU
-    * from another task's timed section. The monitor is reentrant, so the
-    * nested `timedNs` locks are free.
+  /** Measure one codec over one block with [[Measure.codec]], and verify
+    * that the block decompresses bit-exactly.
     */
   def measure(codec: Codec, block: FpBlock, dataset: String, domain: String,
-              iters: Int = 2): MetricsRow = TimingLock.synchronized {
-    val comp0 = codec.compress(block) // warmup + profile source
-    var compNs = Long.MaxValue
-    var i = 0
-    while (i < iters) {
-      val (_, ns) = timedNs(codec.compress(block))
-      compNs = math.min(compNs, ns)
-      i += 1
-    }
-    val dec0 = codec.decompress(comp0.bytes, block.precision, block.extent)
-    var decompNs = Long.MaxValue
-    i = 0
-    while (i < iters) {
-      val (_, ns) = timedNs(codec.decompress(comp0.bytes, block.precision, block.extent))
-      decompNs = math.min(decompNs, ns)
-      i += 1
-    }
-    val lossless = dec0.block.bits.sameElements(block.bits)
-
-    val (compSec, decompSec, e2eComp, e2eDecomp) =
-      if (codec.platform == "GPU") {
-        val c = GpuModel.kernelSeconds(comp0.work)
-        val d = GpuModel.kernelSeconds(dec0.work)
-        (c, d,
-         GpuModel.endToEndSeconds(comp0.work, block.sizeBytes, comp0.bytes.length),
-         GpuModel.endToEndSeconds(dec0.work, comp0.bytes.length, block.sizeBytes))
-      } else {
-        val c = compNs / 1e9; val d = decompNs / 1e9
-        (c, d, c, d)
-      }
-
+              iters: Int = 2): MetricsRow = {
+    val (comp, ct) = Measure.codec(codec, iters)(codec.compress(block))(
+      c => (c.work, block.sizeBytes, c.bytes.length.toLong))
+    val (dec, dt) = Measure.codec(codec, iters)(
+      codec.decompress(comp.bytes, block.precision, block.extent))(
+      d => (d.work, comp.bytes.length.toLong, block.sizeBytes))
     MetricsRow(dataset, domain, block.precision.tag, codec.name, codec.platform,
-               block.sizeBytes, comp0.bytes.length.toLong,
-               compSec, decompSec, e2eComp, e2eDecomp, lossless)
+               block.sizeBytes, comp.bytes.length.toLong,
+               ct.kernel, dt.kernel, ct.endToEnd, dt.endToEnd,
+               dec.block.bits.sameElements(block.bits))
   }
 
-  /** Run the full grid as a Spark job: one task per (dataset, codec) cell,
-    * executed in `mapPartitions` on the executors.
+  /** Run the full grid: build every dataset's block, then measure each
+    * (dataset, codec) cell.
     */
   def runGrid(spark: SparkSession,
               specs: Seq[DatasetSpec] = FcDatasets.all,
               codecs: Seq[Codec] = CodecRegistry.all,
               targetValues: Int = 1 << 17,
               iters: Int = 2): Seq[MetricsRow] = {
-    import spark.implicits._
-    val blocks = specs.map(s => s.name -> (s.domain, s.block(spark, targetValues))).toMap
-    val bBlocks = spark.sparkContext.broadcast(blocks)
-    val cells = for (s <- specs; c <- codecs) yield (s.name, c.name)
-    val rows = cells.toDS()
-      .repartition(cells.size) // one cell per task
-      .mapPartitions { it =>
-        it.map { case (ds, codecName) =>
-          val (domain, block) = bBlocks.value(ds)
-          measure(CodecRegistry.byName(codecName), block, ds, domain, iters)
-        }
-      }
-      .collect()
-      .toSeq
-    bBlocks.destroy()
-    rows
+    val blocks = specs.map(s => s -> s.block(spark, targetValues))
+    for ((s, block) <- blocks; c <- codecs) yield measure(c, block, s.name, s.domain, iters)
   }
 
   /** Aggregate helpers (paper §5.2): harmonic mean of CRs, arithmetic mean of
@@ -122,10 +64,4 @@ object CompressionBench {
 
   def arithmeticMean(xs: Seq[Double]): Double =
     if (xs.isEmpty) Double.NaN else xs.sum / xs.size
-
-  /** Metrics rows as a DataFrame, for Spark SQL aggregation in the benches. */
-  def toDF(spark: SparkSession, rows: Seq[MetricsRow]): DataFrame = {
-    import spark.implicits._
-    rows.toDF()
-  }
 }

@@ -1,0 +1,46 @@
+package repro.harness
+
+import repro.core.{Codec, WorkProfile}
+import repro.gpusim.GpuModel
+
+/** The timing rule behind every table (paper §5). A CPU codec is measured:
+  * one untimed warm-up run, whose result the caller keeps, then `iters`
+  * timed runs, of which the fastest counts. A GPU codec runs once, and its
+  * time comes from [[repro.gpusim.GpuModel]] over that run's work profile.
+  */
+object Measure {
+
+  /** Seconds of one codec pass: `kernel` is the measured CPU time or the
+    * modelled on-card time; `endToEnd` adds a GPU codec's PCIe copies.
+    */
+  final case class Timing(kernel: Double, endToEnd: Double)
+
+  /** The result of one run of `f` and its wall seconds. */
+  def once[A](f: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a  = f
+    (a, (System.nanoTime() - t0) / 1e9)
+  }
+
+  /** The warm-up run's result and the fastest of `iters` timed runs. */
+  def best[A](iters: Int)(f: => A): (A, Double) = {
+    require(iters >= 1, s"iters must be at least 1, got $iters")
+    val a = f
+    (a, Iterator.fill(iters)(once(f)._2).min)
+  }
+
+  /** Time one pass of `codec`. `onCard` gives, for a GPU codec, the pass's
+    * work and the bytes it copies to and from the card.
+    */
+  def codec[A](codec: Codec, iters: Int)(run: => A)(onCard: A => (WorkProfile, Long, Long)): (A, Timing) = {
+    require(iters >= 1, s"iters must be at least 1, got $iters")
+    if (codec.platform == "GPU") {
+      val a = run
+      val (work, in, out) = onCard(a)
+      (a, Timing(GpuModel.kernelSeconds(work), GpuModel.endToEndSeconds(work, in, out)))
+    } else {
+      val (a, s) = best(iters)(run)
+      (a, Timing(s, s))
+    }
+  }
+}

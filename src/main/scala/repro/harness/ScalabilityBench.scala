@@ -21,22 +21,11 @@ object ScalabilityBench {
             threadCounts: Seq[Int] = ThreadSweep): Seq[ScalePoint] = {
     threadCounts.map { t =>
       val c = codec.withThreads(t)
-      // warmup
-      val comp = c.compress(block)
-      var compNs   = Long.MaxValue
-      var decompNs = Long.MaxValue
-      var i = 0
-      while (i < iters) {
-        val (_, cn) = CompressionBench.timedNs(c.compress(block))
-        val (_, dn) = CompressionBench.timedNs(
-          c.decompress(comp.bytes, block.precision, block.extent))
-        compNs = math.min(compNs, cn)
-        decompNs = math.min(decompNs, dn)
-        i += 1
-      }
+      val (comp, compSec) = Measure.best(iters)(c.compress(block))
+      val (_, decompSec)  = Measure.best(iters)(c.decompress(comp.bytes, block.precision, block.extent))
       ScalePoint(codec.name, t,
-                 block.sizeBytes.toDouble / (compNs / 1e9) / 1e6,
-                 block.sizeBytes.toDouble / (decompNs / 1e9) / 1e6)
+                 block.sizeBytes.toDouble / compSec / 1e6,
+                 block.sizeBytes.toDouble / decompSec / 1e6)
     }
   }
 }

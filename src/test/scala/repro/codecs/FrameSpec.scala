@@ -10,6 +10,7 @@ import repro.codecs.gpu.{NdzipGpu, NvLz4}
 /** Every codec that stores its chunks in a `core.Frame` rejects a damaged
   * frame instead of decoding it: a stream cut short, a chunk count the
   * decoder does not expect, and a chunk length that runs past the stream.
+  * ndzip also rejects raw border bytes that do not fill the border exactly.
   */
 class FrameSpec extends SparkSpec {
 
@@ -60,5 +61,13 @@ class FrameSpec extends SparkSpec {
       for (len <- Seq(bytes.length - payload + 1, Int.MaxValue, -1))
         intercept[IllegalArgumentException](decode(codec, withInt(bytes, 4, len)))
     }
+
+    if (label.startsWith("ndzip"))
+      test(s"$label rejects a border cut short or followed by a trailing byte") {
+        for (k <- 1 to 8) withClue(s"cut by $k bytes: ") {
+          intercept[IllegalArgumentException](decode(codec, bytes.dropRight(k)))
+        }
+        intercept[IllegalArgumentException](decode(codec, bytes :+ 0.toByte))
+      }
   }
 }
