@@ -19,6 +19,8 @@ import repro.core._
   * Layout: [mode:1][p:1][m:1][totalBits:1][qmin:8][n byte planes, LSB first].
   */
 final class Buff extends Codec {
+  import Buff.Quantizer
+
   override def name: String     = "BUFF"
   override def platform: String = "CPU"
 
@@ -27,37 +29,42 @@ final class Buff extends Codec {
 
   override def compress(block: FpBlock): Compressed = {
     val doubles = block.toDoubles
-    val plan    = findPrecision(doubles, block.precision)
+    val qs      = new Array[Long](block.n)
+    val p       = findPrecision(doubles, block.precision, qs)
     val work    = WorkProfile(block.sizeBytes * 2, 0, block.n.toLong * 30, divergent = false)
-    plan match {
-      case None =>
-        val raw = block.toBytes
-        val out = new Array[Byte](raw.length + 1)
-        out(0) = 0 // raw mode
-        System.arraycopy(raw, 0, out, 1, raw.length)
-        Compressed(out, work.copy(bytesWritten = out.length))
-      case Some((p, m, qmin, qs)) =>
-        val span      = qs.map(_ - qmin).max
-        val totalBits = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(span))
-        val nBytes    = (totalBits + 7) / 8
-        val out       = new Array[Byte](12 + nBytes * qs.length)
-        out(0) = 1 // packed mode
-        out(1) = p.toByte
-        out(2) = m.toByte
-        out(3) = totalBits.toByte
-        var k = 0
-        while (k < 8) { out(4 + k) = ((qmin >>> (8 * k)) & 0xff).toByte; k += 1 }
-        // Byte-plane (sub-column) layout: plane b holds byte b of every delta.
-        var b = 0
-        while (b < nBytes) {
-          var i = 0
-          while (i < qs.length) {
-            out(12 + b * qs.length + i) = (((qs(i) - qmin) >>> (8 * b)) & 0xff).toByte
-            i += 1
-          }
-          b += 1
+    if (p < 0) {
+      val raw = block.toBytes
+      val out = new Array[Byte](raw.length + 1)
+      out(0) = 0 // raw mode
+      System.arraycopy(raw, 0, out, 1, raw.length)
+      Compressed(out, work.copy(bytesWritten = out.length))
+    } else {
+      var qmin = qs(0)
+      var i    = 1
+      while (i < qs.length) { if (qs(i) < qmin) qmin = qs(i); i += 1 }
+      var span = 0L
+      i = 0
+      while (i < qs.length) { if (qs(i) - qmin > span) span = qs(i) - qmin; i += 1 }
+      val totalBits = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(span))
+      val nBytes    = (totalBits + 7) / 8
+      val out       = new Array[Byte](12 + nBytes * qs.length)
+      out(0) = 1 // packed mode
+      out(1) = p.toByte
+      out(2) = BitsForPrecision(p).toByte
+      out(3) = totalBits.toByte
+      var k = 0
+      while (k < 8) { out(4 + k) = ((qmin >>> (8 * k)) & 0xff).toByte; k += 1 }
+      // Byte-plane (sub-column) layout: plane b holds byte b of every delta.
+      var b = 0
+      while (b < nBytes) {
+        i = 0
+        while (i < qs.length) {
+          out(12 + b * qs.length + i) = (((qs(i) - qmin) >>> (8 * b)) & 0xff).toByte
+          i += 1
         }
-        Compressed(out, work.copy(bytesWritten = out.length))
+        b += 1
+      }
+      Compressed(out, work.copy(bytesWritten = out.length))
     }
   }
 
@@ -75,20 +82,24 @@ final class Buff extends Codec {
       var qmin      = 0L
       var k = 0
       while (k < 8) { qmin |= (data(4 + k) & 0xffL) << (8 * k); k += 1 }
-      val doubles = new Array[Double](n)
+      // Gather the deltas one byte plane at a time, then dequantize in place.
+      val bits = new Array[Long](n)
+      var b = 0
+      while (b < nBytes) {
+        val plane = 12 + b * n
+        var i = 0
+        while (i < n) { bits(i) |= (data(plane + i) & 0xffL) << (8 * b); i += 1 }
+        b += 1
+      }
+      val quant  = new Quantizer(m, p)
+      val single = precision == Precision.Single
       var i = 0
       while (i < n) {
-        var delta = 0L
-        var b = 0
-        while (b < nBytes) { delta |= (data(12 + b * n + i) & 0xffL) << (8 * b); b += 1 }
-        doubles(i) = dequantize(qmin + delta, m, p)
+        val d = quant.dequantize(qmin + bits(i))
+        bits(i) = if (single) FpBlock.singleBits(d.toFloat) else java.lang.Double.doubleToRawLongBits(d)
         i += 1
       }
-      val block = precision match {
-        case Precision.Double => FpBlock.fromDoubles(doubles, extent)
-        case Precision.Single => FpBlock.fromFloats(doubles.map(_.toFloat), extent)
-      }
-      Decompressed(block, work)
+      Decompressed(FpBlock(precision, extent, bits), work)
     }
   }
 
@@ -108,9 +119,10 @@ final class Buff extends Codec {
     while (k < 8) { qmin |= (data(4 + k) & 0xffL) << (8 * k); k += 1 }
     // Largest quantized step whose dequantized value still satisfies the
     // predicate — exact because dequantize is monotone in q.
+    val quant = new Quantizer(m, p)
     var qt = math.rint(threshold * (1L << m)).toLong
-    while (dequantize(qt, m, p) > threshold) qt -= 1
-    while (dequantize(qt + 1, m, p) <= threshold) qt += 1
+    while (quant.dequantize(qt) > threshold) qt -= 1
+    while (quant.dequantize(qt + 1) <= threshold) qt += 1
     val qThr = qt - qmin
     if (qThr < 0) return 0L
     if (qThr >= (1L << math.min(62, 8 * nBytes))) return n.toLong // all deltas fit nBytes
@@ -134,49 +146,53 @@ final class Buff extends Codec {
 
   /** Find the smallest decimal precision p (0..10) such that quantizing every
     * value to BitsForPrecision(p) fraction bits round-trips bit-exactly.
-    * Returns (p, fracBits, qmin, quantized values).
+    * Returns p, with the quantized values in `qs`, or -1 if there is none.
     */
-  private def findPrecision(values: Array[Double], precision: Precision)
-      : Option[(Int, Int, Long, Array[Long])] = {
+  private def findPrecision(values: Array[Double], precision: Precision, qs: Array[Long]): Int = {
+    val single = precision == Precision.Single
     var p = 0
     while (p <= 10) {
-      val m  = BitsForPrecision(p)
-      val qs = new Array[Long](values.length)
-      var ok = true
-      var i  = 0
+      val quant = new Quantizer(BitsForPrecision(p), p)
+      var ok    = true
+      var i     = 0
       while (ok && i < values.length) {
         val v = values(i)
-        // Keep |v| * 2^m well inside Long range before quantizing.
-        if (v.isNaN || v.isInfinite || math.abs(v) >= math.pow(2, 61 - m)) ok = false
+        // Keep |v| * 2^m well inside Long range before quantizing; NaN and
+        // the infinities fail this test too.
+        if (!(math.abs(v) < quant.limit)) ok = false
         else {
-          val q = math.rint(v * (1L << m)).toLong
-          val d = dequantize(q, m, p)
-          val exact = precision match {
-            case Precision.Double =>
-              java.lang.Double.doubleToRawLongBits(d) == java.lang.Double.doubleToRawLongBits(v)
-            case Precision.Single =>
-              java.lang.Float.floatToRawIntBits(d.toFloat) == java.lang.Float.floatToRawIntBits(v.toFloat)
-          }
+          val q = math.rint(v * quant.step).toLong
+          val d = quant.dequantize(q)
+          val exact =
+            if (single) java.lang.Float.floatToRawIntBits(d.toFloat) == java.lang.Float.floatToRawIntBits(v.toFloat)
+            else java.lang.Double.doubleToRawLongBits(d) == java.lang.Double.doubleToRawLongBits(v)
           if (exact) qs(i) = q else ok = false
         }
         i += 1
       }
-      if (ok) {
-        val qmin = if (qs.isEmpty) 0L else qs.min
-        return Some((p, m, qmin, qs))
-      }
+      if (ok) return p
       p += 1
     }
-    None
+    -1
   }
+}
 
-  /** Invert quantization: fixed point back to a p-decimal value. */
-  private def dequantize(q: Long, m: Int, p: Int): Double = {
-    val x = q.toDouble / (1L << m).toDouble
-    if (p == 0) math.rint(x)
-    else {
-      val scale = math.pow(10, p)
-      math.rint(x * scale) / scale
+object Buff {
+  /** Fixed point with `m` fraction bits, read back at `p` decimal places.
+    * The powers are exact, so computing them once per block gives the same
+    * doubles as computing them per value.
+    */
+  private final class Quantizer(m: Int, p: Int) {
+    /** 2^m: one quantization step is 1 / step. */
+    val step: Double  = (1L << m).toDouble
+    /** Magnitudes at or above this would overflow the fixed point. */
+    val limit: Double = math.pow(2, 61 - m)
+    private val scale = math.pow(10, p)
+
+    /** Invert quantization: fixed point back to a p-decimal value. */
+    def dequantize(q: Long): Double = {
+      val x = q.toDouble / step
+      if (p == 0) math.rint(x) else math.rint(x * scale) / scale
     }
   }
 }

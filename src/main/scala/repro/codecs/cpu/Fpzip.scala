@@ -18,20 +18,24 @@ import repro.core._
   * fpzip is a serial method; no thread parallelism is used.
   */
 final class Fpzip extends Codec {
+  import Fpzip.Lorenzo
+
   override def name: String     = "fpzip"
   override def platform: String = "CPU"
 
   override def compress(block: FpBlock): Compressed = {
     val w      = block.precision.bits
-    val mapped = block.bits.map(mapOrdered(_, w))
+    val mapped = new Array[Long](block.n)
+    var i      = 0
+    while (i < mapped.length) { mapped(i) = mapOrdered(block.bits(i), w); i += 1 }
     val enc    = new RangeEncoder
     val model  = new AdaptiveModel(w + 1)
     val raw    = new BitWriter(block.n * block.precision.bytes / 2 + 64)
 
-    val dims = shape(block)
-    var i    = 0
+    val lorenzo = new Lorenzo(block.extent)
+    i = 0
     while (i < mapped.length) {
-      val pred = lorenzoPredict(mapped, i, dims, w)
+      val pred = lorenzo.predict(mapped, i)
       // Wrap the residual to w bits and sign-extend so zigzag stays in w bits.
       val diff = (mapped(i) - pred) & mask(w)
       val r    = if (w == 64) diff else (diff << (64 - w)) >> (64 - w)
@@ -55,12 +59,15 @@ final class Fpzip extends Codec {
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val w        = precision.bits
     val n        = extent.product.toInt
+    require(data.length >= 4, s"fpzip stream of ${data.length} bytes has no header")
     val symLen   = ByteBuf.readWordLE(data, 0, 4).toInt
-    val dec      = new RangeDecoder(data, 4)
+    require(symLen >= 0 && symLen <= data.length - 4,
+            s"fpzip symbol stream of $symLen bytes does not fit a ${data.length}-byte stream")
+    val dec      = new RangeDecoder(data, 4, 4 + symLen)
     val raw      = new BitReader(data, 4 + symLen)
     val model    = new AdaptiveModel(w + 1)
     val mapped   = new Array[Long](n)
-    val dims     = extent.map(_.toInt)
+    val lorenzo  = new Lorenzo(extent)
     var i = 0
     while (i < n) {
       val sym  = model.decodeSymbol(dec)
@@ -69,12 +76,13 @@ final class Fpzip extends Codec {
         else if (sym == 1) 1L
         else (1L << (sym - 1)) | raw.readBits(sym - 1)
       val r    = (z >>> 1) ^ -(z & 1) // un-zigzag
-      val pred = lorenzoPredict(mapped, i, dims, w)
+      val pred = lorenzo.predict(mapped, i)
       mapped(i) = (pred + r) & mask(w)
       i += 1
     }
-    val bits = mapped.map(unmapOrdered(_, w))
-    Decompressed(FpBlock(precision, extent, bits),
+    i = 0
+    while (i < n) { mapped(i) = unmapOrdered(mapped(i), w); i += 1 }
+    Decompressed(FpBlock(precision, extent, mapped),
                  WorkProfile(data.length, n.toLong * precision.bytes,
                              n.toLong * 40, divergent = false))
   }
@@ -92,32 +100,31 @@ final class Fpzip extends Codec {
   }
 
   private def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
+}
 
-  private def shape(block: FpBlock): Seq[Int] = block.extent.map(_.toInt)
-
-  /** Lorenzo prediction from previously coded neighbors; boundary cells use
-    * the scan-order predecessor (0 for the very first value).
+object Fpzip {
+  /** Lorenzo prediction from previously coded neighbors over `extent`
+    * (fastest-varying dimension last; beyond three, the last two dimensions
+    * form the plane). Boundary cells use the scan-order predecessor, and the
+    * very first value is predicted as 0. The sides are read once per block, so
+    * the per-value path does no collection access.
     */
-  private def lorenzoPredict(v: Array[Long], i: Int, dims: Seq[Int], w: Int): Long = {
-    if (i == 0) return 0L
-    dims.length match {
-      case 1 => v(i - 1)
-      case 2 =>
-        val nx = dims(1) // fastest-varying
-        val y  = i / nx; val x = i % nx
-        if (y == 0 || x == 0) v(i - 1)
+  private final class Lorenzo(extent: Seq[Long]) {
+    private val dims  = extent.length
+    private val nx    = extent.last.toInt // fastest-varying side
+    private val plane = if (dims >= 3) (extent(dims - 2) * extent(dims - 1)).toInt else 0
+
+    def predict(v: Array[Long], i: Int): Long =
+      if (i == 0) 0L
+      else if (dims == 1) v(i - 1)
+      else if (dims == 2) {
+        if (i < nx || i % nx == 0) v(i - 1)
         else v(i - 1) + v(i - nx) - v(i - nx - 1)
-      case _ =>
-        val nz = dims(dims.length - 1)
-        val ny = dims(dims.length - 2)
-        val planeSz = ny * nz
-        val p  = i / planeSz
-        val r  = i % planeSz
-        val y  = r / nz; val x = r % nz
-        if (p == 0 || y == 0 || x == 0) v(i - 1)
-        else v(i - 1) + v(i - nz) + v(i - planeSz) -
-             v(i - nz - 1) - v(i - planeSz - 1) - v(i - planeSz - nz) +
-             v(i - planeSz - nz - 1)
-    }
+      } else {
+        if (i < plane || i % plane < nx || i % nx == 0) v(i - 1)
+        else v(i - 1) + v(i - nx) + v(i - plane) -
+             v(i - nx - 1) - v(i - plane - 1) - v(i - plane - nx) +
+             v(i - plane - nx - 1)
+      }
   }
 }

@@ -44,22 +44,20 @@ final class Spdp extends Codec {
 
   /** r(i) = b(i) - b(i-stride), wrapping mod 256; leading bytes pass through. */
   private def lnvSub(in: Array[Byte], stride: Int): Array[Byte] = {
-    val out = new Array[Byte](in.length)
-    var i   = 0
-    while (i < in.length) {
-      out(i) = if (i < stride) in(i) else (in(i) - in(i - stride)).toByte
-      i += 1
-    }
+    val out  = new Array[Byte](in.length)
+    val lead = math.min(stride, in.length)
+    System.arraycopy(in, 0, out, 0, lead)
+    var i = lead
+    while (i < in.length) { out(i) = (in(i) - in(i - stride)).toByte; i += 1 }
     out
   }
 
   private def lnvAdd(in: Array[Byte], stride: Int): Array[Byte] = {
-    val out = new Array[Byte](in.length)
-    var i   = 0
-    while (i < in.length) {
-      out(i) = if (i < stride) in(i) else (in(i) + out(i - stride)).toByte
-      i += 1
-    }
+    val out  = new Array[Byte](in.length)
+    val lead = math.min(stride, in.length)
+    System.arraycopy(in, 0, out, 0, lead)
+    var i = lead
+    while (i < in.length) { out(i) = (in(i) + out(i - stride)).toByte; i += 1 }
     out
   }
 

@@ -37,9 +37,19 @@ final case class FpBlock(precision: Precision, extent: Seq[Long], bits: Array[Lo
   /** View with dimensionality information erased (column-store layout). */
   def as1d: FpBlock = copy(extent = Seq(bits.length.toLong))
 
-  def toDoubles: Array[Double] = precision match {
-    case Precision.Double => bits.map(java.lang.Double.longBitsToDouble)
-    case Precision.Single => bits.map(b => java.lang.Float.intBitsToFloat(b.toInt).toDouble)
+  /** The values widened to doubles. The loops avoid `Array.map`, which boxes
+    * every element.
+    */
+  def toDoubles: Array[Double] = {
+    val out = new Array[Double](bits.length)
+    var i   = 0
+    precision match {
+      case Precision.Double =>
+        while (i < bits.length) { out(i) = java.lang.Double.longBitsToDouble(bits(i)); i += 1 }
+      case Precision.Single =>
+        while (i < bits.length) { out(i) = java.lang.Float.intBitsToFloat(bits(i).toInt).toDouble; i += 1 }
+    }
+    out
   }
 
   /** Serialize to little-endian raw bytes (the on-disk representation).
@@ -73,15 +83,24 @@ final case class FpBlock(precision: Precision, extent: Seq[Long], bits: Array[Lo
 
 object FpBlock {
   def fromDoubles(values: Array[Double], extent: Seq[Long] = Seq.empty): FpBlock = {
-    val e = if (extent.isEmpty) Seq(values.length.toLong) else extent
-    FpBlock(Precision.Double, e, values.map(java.lang.Double.doubleToRawLongBits))
+    val bits = new Array[Long](values.length)
+    var i    = 0
+    while (i < values.length) { bits(i) = java.lang.Double.doubleToRawLongBits(values(i)); i += 1 }
+    FpBlock(Precision.Double, extentOr(extent, values.length), bits)
   }
 
   def fromFloats(values: Array[Float], extent: Seq[Long] = Seq.empty): FpBlock = {
-    val e = if (extent.isEmpty) Seq(values.length.toLong) else extent
-    FpBlock(Precision.Single, e,
-            values.map(f => java.lang.Float.floatToRawIntBits(f).toLong & 0xffffffffL))
+    val bits = new Array[Long](values.length)
+    var i    = 0
+    while (i < values.length) { bits(i) = singleBits(values(i)); i += 1 }
+    FpBlock(Precision.Single, extentOr(extent, values.length), bits)
   }
+
+  /** `extent`, or a 1-D extent of `n` values when it is empty. */
+  private def extentOr(extent: Seq[Long], n: Int): Seq[Long] = if (extent.isEmpty) Seq(n.toLong) else extent
+
+  /** The raw bit pattern of a float in the low 32 bits of a Long. */
+  def singleBits(f: Float): Long = java.lang.Float.floatToRawIntBits(f).toLong & 0xffffffffL
 
   /** Deserialize little-endian raw bytes produced by [[FpBlock.toBytes]]. */
   def fromBytes(precision: Precision, extent: Seq[Long], bytes: Array[Byte]): FpBlock = {
@@ -106,6 +125,6 @@ object FpBlock {
           i += 1
         }
     }
-    FpBlock(precision, if (extent.isEmpty) Seq(n.toLong) else extent, bits)
+    FpBlock(precision, extentOr(extent, n), bits)
   }
 }

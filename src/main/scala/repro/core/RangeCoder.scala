@@ -45,16 +45,27 @@ final class RangeEncoder {
   }
 }
 
-final class RangeDecoder(buf: Array[Byte], start: Int = 0) {
+/** Decodes the bytes `buf(start until end)` written by a [[RangeEncoder]].
+  * It reads exactly as many bytes as the encoder wrote, so a read at `end`
+  * means the stream was cut short or its length was wrong: it raises
+  * `IllegalArgumentException` rather than decode zeros.
+  */
+final class RangeDecoder(buf: Array[Byte], start: Int, end: Int) {
   import RangeCoder._
   private var pos: Int    = start
   private var low: Long   = 0L
   private var range: Long = Mask
   private var code: Long  = 0L
+  require(0 <= start && start <= end && end <= buf.length,
+          s"range $start until $end outside a ${buf.length}-byte buffer")
   locally { var i = 0; while (i < 4) { code = ((code << 8) | nextByte()) & Mask; i += 1 } }
 
-  private def nextByte(): Long =
-    if (pos < buf.length) { val b = buf(pos) & 0xffL; pos += 1; b } else 0L
+  private def nextByte(): Long = {
+    if (pos >= end) throw new IllegalArgumentException(s"range-coded stream ends at byte $end")
+    val b = buf(pos) & 0xffL
+    pos += 1
+    b
+  }
 
   /** Returns the cumulative-frequency slot of the next symbol. */
   def decodeFreq(totFreq: Long): Long = {

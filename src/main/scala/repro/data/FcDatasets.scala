@@ -49,7 +49,11 @@ final case class DatasetSpec(name: String, domain: String, precision: Precision,
     val vals   = rows.map(_.getDouble(0))
     precision match {
       case Precision.Double => FpBlock.fromDoubles(vals, extent)
-      case Precision.Single => FpBlock.fromFloats(vals.map(_.toFloat), extent)
+      case Precision.Single =>
+        val floats = new Array[Float](vals.length) // a loop: Array.map boxes each value
+        var i      = 0
+        while (i < vals.length) { floats(i) = vals(i).toFloat; i += 1 }
+        FpBlock.fromFloats(floats, extent)
     }
   }
 }

@@ -7,11 +7,12 @@ import repro.codecs.gpu.{Gfc, NvBitcomp}
 
 /** Pins the exact compressed bytes of Gorilla, GFC, nv:btcomp and BUFF by the
   * CRC32 of each stream, over the roundtrip corpus, tiny blocks, a 4 KiB page
-  * of each precision, and a 40 000-value random walk of each precision:
-  * several nv:btcomp chunks and full-width GFC residuals. The first three
-  * write their streams through `core.BitWriter`. With [[GoldenStreamSpec]],
-  * [[TableCodecGoldenSpec]] and [[FrameCodecGoldenSpec]] these pins fix the
-  * stream of every registered codec, which [[GoldenCoverageSpec]] checks.
+  * of each precision, a 40 000-value random walk of each precision (several
+  * nv:btcomp chunks and full-width GFC residuals), and one input per BUFF
+  * branch (`BuffPaths`). The first three write their streams through
+  * `core.BitWriter`. With [[GoldenStreamSpec]], [[TableCodecGoldenSpec]] and
+  * [[FrameCodecGoldenSpec]] these pins fix the stream of every registered
+  * codec, which [[GoldenCoverageSpec]] checks.
   */
 class BitStreamGoldenSpec extends SparkSpec {
   import BitStreamGoldenSpec._
@@ -20,6 +21,16 @@ class BitStreamGoldenSpec extends SparkSpec {
   for ((inputName, block) <- Inputs; ((label, codec), i) <- Codecs.zipWithIndex)
     test(s"$label stream of $inputName matches its pinned CRC32") {
       assert(crc32(codec.compress(block).bytes) == Pinned(inputName)(i))
+    }
+
+  for ((inputName, path) <- BuffPaths)
+    test(s"BUFF stream of $inputName takes the $path path and decodes bit-exactly") {
+      val block  = Inputs.toMap.apply(inputName)
+      val codec  = new Buff
+      val bytes  = codec.compress(block).bytes
+      val header = if (bytes(0) == 0) "raw" else s"packed p=${bytes(1)}"
+      assert(header == path)
+      assert(codec.decompress(bytes, block.precision, block.extent).block.bits.sameElements(block.bits))
     }
 }
 
@@ -38,10 +49,28 @@ object BitStreamGoldenSpec {
     "tail-7-single"     -> TestInputs.randomS(7),
     "walk-40000-double" -> TestInputs.randomWalkD(40000),
     "walk-40000-single" -> TestInputs.randomWalkS(40000),
+    "decimal-1-single"  -> TestInputs.decimalS(5000, 1, 0, 31),
+    "decimal-2-negative-double" -> TestInputs.decimalD(5000, 2, -1500, 37),
+    "integer-double"    -> TestInputs.decimalD(5000, 0, 0, 41),
+    "decimal-10-double" -> TestInputs.decimalD(5000, 10, 0, 43),
+    "raw-late-double"   -> {
+      val b = TestInputs.decimalD(5000, 2, 0, 47)
+      b.bits(b.n - 1) = java.lang.Double.doubleToRawLongBits(math.Pi)
+      b
+    },
   )
 
+  /** Inputs added for BUFF's branches -> the header its stream must carry:
+    * raw mode, or packed mode with the decimal precision p it detected.
+    */
+  val BuffPaths: Seq[(String, String)] = Seq(
+    "decimal-1-single" -> "packed p=1", "decimal-2-negative-double" -> "packed p=2",
+    "integer-double" -> "packed p=0", "decimal-10-double" -> "packed p=10",
+    "raw-late-double" -> "raw")
+
   /** input -> CRC32 of the (Gorilla, GFC, nv:btcomp, BUFF) streams, recorded
-    * before `BitWriter` moved to 64-bit words.
+    * before `BitWriter` moved to 64-bit words; the `BuffPaths` rows were
+    * recorded before BUFF's quantizer and decoder loops were rewritten.
     */
   val Pinned: Map[String, Seq[String]] = Map(
     "smooth-1d-double"      -> Seq("76c73d69", "015a7444", "f28f49cf", "6952223e"),
@@ -65,5 +94,10 @@ object BitStreamGoldenSpec {
     "tail-7-single"         -> Seq("084762c3", "8ec5fbc4", "6e9aaf6c", "4fd13d9d"),
     "walk-40000-double"     -> Seq("89685b32", "07077026", "481e1c47", "e26e0e82"),
     "walk-40000-single"     -> Seq("5fbfa7ab", "18c4c1b1", "a0dc0cdd", "2ea21458"),
+    "decimal-1-single"          -> Seq("97081594", "1a17c10a", "66174d2a", "55b2d825"),
+    "decimal-2-negative-double" -> Seq("7f64f536", "6ca11ad6", "8787dd69", "b12a9a96"),
+    "integer-double"            -> Seq("462b2385", "4381989a", "d7c75f82", "617a1657"),
+    "decimal-10-double"         -> Seq("08d88bb5", "55c4d0af", "d1f5cb7e", "9d428e9d"),
+    "raw-late-double"           -> Seq("99900f8b", "71a32029", "ca567a2c", "afc4cd44"),
   )
 }

@@ -1,5 +1,7 @@
 package repro.codecs
 
+import java.nio.{ByteBuffer, ByteOrder}
+
 import repro.SparkSpec
 import repro.core.{Codec, FpBlock}
 import repro.codecs.cpu.{Chimp, Fpzip, Gorilla}
@@ -8,7 +10,8 @@ import repro.codecs.gpu.{Gfc, NvBitcomp}
 /** Every codec that reads its stream through `core.BitReader` (Gorilla,
   * Chimp, GFC, nv:btcomp, and fpzip's verbatim bits) raises an exception on a
   * stream cut short and never returns a block: the reader must not hand out
-  * zero bits from past the end of the stream.
+  * zero bits from past the end of the stream. fpzip also checks the length
+  * of its range-coded part, which its range decoder must not read past.
   */
 class BitStreamTruncationSpec extends SparkSpec {
 
@@ -19,6 +22,21 @@ class BitStreamTruncationSpec extends SparkSpec {
 
   private def decode(codec: Codec, block: FpBlock, bytes: Array[Byte]): FpBlock =
     codec.decompress(bytes, block.precision, block.extent).block
+
+  /** fpzip's stream starts with the length of its range-coded part. */
+  for ((precision, block) <- blocks)
+    test(s"fpzip rejects a $precision stream whose symbol-stream length is too large, too small or negative") {
+      val codec  = new Fpzip
+      val bytes  = codec.compress(block).bytes
+      val symLen = ByteBuffer.wrap(bytes).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
+      for (len <- Seq(bytes.length - 3, Int.MaxValue, symLen - 1, 0, -1, Int.MinValue))
+        withClue(s"length field $len of $symLen: ") {
+          val bad = bytes.clone()
+          ByteBuffer.wrap(bad).order(ByteOrder.LITTLE_ENDIAN).putInt(0, len)
+          intercept[IllegalArgumentException](decode(codec, block, bad))
+        }
+      for (cut <- 0 to 3) intercept[IllegalArgumentException](decode(codec, block, bytes.take(cut)))
+    }
 
   for (codec <- codecs; (precision, block) <- blocks)
     test(s"${codec.name} raises an exception on a $precision stream cut at any of 20 points") {

@@ -27,6 +27,14 @@ object TestInputs {
     FpBlock.fromFloats(vals, Seq(d.toLong, h.toLong, w.toLong))
   }
 
+  def smooth3dD(d: Int, h: Int, w: Int): FpBlock = {
+    val vals = Array.tabulate(d * h * w) { i =>
+      val z = i / (h * w); val r = (i / w) % h; val c = i % w
+      math.sin(z * 0.2) + math.cos(r * 0.1) * math.sin(c * 0.15)
+    }
+    FpBlock.fromDoubles(vals, Seq(d.toLong, h.toLong, w.toLong))
+  }
+
   def randomD(n: Int, seed: Long = 7): FpBlock = {
     val rng = new scala.util.Random(seed)
     FpBlock.fromDoubles(Array.fill(n)(rng.nextDouble() * 1e6 - 5e5))
@@ -74,6 +82,21 @@ object TestInputs {
     val rng   = new scala.util.Random(seed)
     val scale = math.pow(10, decimals)
     FpBlock.fromDoubles(Array.fill(n)(math.rint(rng.nextDouble() * 1000 * scale) / scale))
+  }
+
+  /** `n` values drawn from [lo, lo + 1000) and rounded to `decimals` places:
+    * the bounded-precision data BUFF quantizes (`decimals = 0` is integer data).
+    */
+  def decimalD(n: Int, decimals: Int, lo: Double, seed: Long): FpBlock =
+    FpBlock.fromDoubles(decimalValues(n, decimals, lo, seed))
+
+  def decimalS(n: Int, decimals: Int, lo: Double, seed: Long): FpBlock =
+    FpBlock.fromFloats(decimalValues(n, decimals, lo, seed).map(_.toFloat))
+
+  private def decimalValues(n: Int, decimals: Int, lo: Double, seed: Long): Array[Double] = {
+    val rng   = new scala.util.Random(seed)
+    val scale = math.pow(10, decimals)
+    Array.fill(n)(math.rint((lo + rng.nextDouble() * 1000) * scale) / scale)
   }
 
   def constantD(n: Int, v: Double = 3.14159): FpBlock =

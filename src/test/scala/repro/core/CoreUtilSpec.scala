@@ -115,6 +115,35 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(FpBlock.fromBytes(Precision.Single, s.extent, s.toBytes).bits.sameElements(s.bits))
   }
 
+  /** Bit patterns biased towards NaN payloads (quiet and signalling), the
+    * infinities, signed zeros and subnormals.
+    */
+  private val doubleBits: Gen[Long] = Gen.frequency(
+    3 -> Gen.choose(Long.MinValue, Long.MaxValue),
+    1 -> Gen.oneOf(0x7ff8000000000000L, 0x7ff8000000abcdefL, 0x7ff0000000000001L, -1L,
+                   0x7ff0000000000000L, 0xfff0000000000000L, 0L, 0x8000000000000000L,
+                   1L, 0x000fffffffffffffL, 0x800fffffffffffffL))
+  private val floatBits: Gen[Int] = Gen.frequency(
+    3 -> Gen.choose(Int.MinValue, Int.MaxValue),
+    1 -> Gen.oneOf(0x7fc00000, 0x7fc00abc, 0x7f800001, -1, 0x7f800000, 0xff800000,
+                   0, 0x80000000, 1, 0x007fffff, 0x807fffff))
+
+  test("property: FpBlock's conversion loops give the bits of the Array.map forms") {
+    def raw(ds: Array[Double]): Array[Long] = ds.map(java.lang.Double.doubleToRawLongBits)
+    checkProp(Prop.forAll(Gen.nonEmptyListOf(doubleBits), Gen.nonEmptyListOf(floatBits)) { (dl, fl) =>
+      val doubles = dl.toArray.map(java.lang.Double.longBitsToDouble)
+      val floats  = fl.toArray.map(java.lang.Float.intBitsToFloat)
+      val d       = FpBlock.fromDoubles(doubles)
+      val s       = FpBlock.fromFloats(floats)
+      // The forms the loops replaced, kept as the oracle.
+      val sBits   = floats.map(f => java.lang.Float.floatToRawIntBits(f).toLong & 0xffffffffL)
+      d.bits.sameElements(raw(doubles)) &&
+        raw(d.toDoubles).sameElements(raw(d.bits.map(java.lang.Double.longBitsToDouble))) &&
+        s.bits.sameElements(sBits) &&
+        raw(s.toDoubles).sameElements(raw(s.bits.map(b => java.lang.Float.intBitsToFloat(b.toInt).toDouble)))
+    }, minTests = 100)
+  }
+
   test("FpBlock.as1d erases shape but keeps data") {
     val b = FpBlock.fromDoubles(Array.tabulate(12)(_.toDouble), Seq(3L, 4L))
     assert(b.as1d.extent == Seq(12L))

@@ -10,7 +10,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
     val em  = new AdaptiveModel(alphabet)
     symbols.foreach(em.encodeSymbol(enc, _))
     val bytes = enc.finish()
-    val dec = new RangeDecoder(bytes)
+    val dec = new RangeDecoder(bytes, 0, bytes.length)
     val dm  = new AdaptiveModel(alphabet)
     symbols.map(_ => dm.decodeSymbol(dec))
   }
@@ -54,6 +54,31 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
     checkProp(Prop.forAll(gen) { case (alphabet, syms) =>
       roundtrip(syms, alphabet) == syms
     }, minTests = 30)
+  }
+
+  test("the decoder reads exactly the bytes the encoder wrote, and raises on a cut stream") {
+    val rng   = new scala.util.Random(3)
+    val syms  = Seq.fill(5000)(if (rng.nextInt(4) == 0) rng.nextInt(65) else 7)
+    val enc   = new RangeEncoder
+    val em    = new AdaptiveModel(65)
+    syms.foreach(em.encodeSymbol(enc, _))
+    val bytes = enc.finish()
+    def decode(end: Int): (Seq[Int], Int) = {
+      val dec = new RangeDecoder(bytes, 0, end)
+      val dm  = new AdaptiveModel(65)
+      (syms.map(_ => dm.decodeSymbol(dec)), dec.bytesConsumed)
+    }
+    assert(decode(bytes.length) == (syms, bytes.length))
+    for (cut <- Seq(0, 3, 4, bytes.length / 2, bytes.length - 1))
+      withClue(s"cut at $cut of ${bytes.length} bytes: ") {
+        intercept[IllegalArgumentException](decode(cut))
+      }
+  }
+
+  test("the decoder rejects a range outside its buffer") {
+    val bytes = new Array[Byte](8)
+    for ((start, end) <- Seq((-1, 8), (0, 9), (5, 4)))
+      intercept[IllegalArgumentException](new RangeDecoder(bytes, start, end))
   }
 
   test("adaptive model rescales without breaking invariants") {

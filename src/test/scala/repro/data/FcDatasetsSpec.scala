@@ -61,6 +61,16 @@ class FcDatasetsSpec extends SparkSpec {
     assert(a.bits.sameElements(b.bits))
   }
 
+  test("a single-precision block holds its DataFrame's values narrowed to float") {
+    val spec  = FcDatasets.byName("citytemp")
+    val block = spec.block(spark, 3000)
+    val vals  = spec.dataFrame(spark, block.extent).orderBy("idx").select("value").collect()
+      .map(_.getDouble(0))
+    // The Array.map form `block` used before its narrowing became a loop.
+    val oracle = vals.map(_.toFloat).map(f => java.lang.Float.floatToRawIntBits(f).toLong & 0xffffffffL)
+    assert(block.precision == Precision.Single && block.bits.sameElements(oracle))
+  }
+
   test("astro-mhd is mostly exact zeros (the low-entropy outlier)") {
     val block = FcDatasets.byName("astro-mhd").block(spark, 8000)
     val zeros = block.bits.count(_ == 0L)
