@@ -10,26 +10,27 @@ import repro.lz.{Lz4Backend, ZstdBackend}
   * m x n matrix (m values of n bits) and transposed so that the i-th bits of
   * all values become consecutive bytes. The shuffled stream is then encoded
   * per compression block by LZ4 or zstd. Blocks compress independently, so
-  * thread-level parallelism distributes blocks over a pool (Tables 7/8);
-  * `blockBytes` is the compression block size swept by Table 10.
+  * thread-level parallelism distributes blocks over a pool (Tables 7/8).
+  * Compression blocks are a fixed 64 KiB.
   */
-abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends ThreadedCodec {
+abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
   override def platform: String = "CPU"
 
   protected def encode(in: Array[Byte]): Array[Byte]
   protected def decode(in: Array[Byte], outLen: Int): Array[Byte]
 
   private val TransposeChunk = 4096 // bytes, L1-resident per the reference impl
+  private val BlockBytes     = 65536
 
   override def compress(block: FpBlock): Compressed = {
     val raw      = block.toBytes
     val elemSize = block.precision.bytes
-    val ranges   = Frame.fixedRanges(raw.length, blockBytes)
+    val ranges   = Frame.fixedRanges(raw.length, BlockBytes)
     val parts = Parallel.map(ranges, threads) { case (from, until) =>
       val shuffled = shuffle(raw, from, until, elemSize)
       encode(shuffled)
     }
-    val bytes = Frame.write(parts).toByteArray
+    val bytes = Frame.write(parts).toArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 3, bytes.length,
                                   raw.length.toLong * 10, divergent = false))
   }
@@ -37,7 +38,7 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen   = extent.product.toInt * precision.bytes
     val elemSize = precision.bytes
-    val ranges   = Frame.fixedRanges(rawLen, blockBytes)
+    val ranges   = Frame.fixedRanges(rawLen, BlockBytes)
     val offsets  = Frame.read(data, ranges.length, ranges.length)
     val raw      = new Array[Byte](rawLen)
     Parallel.map(ranges.indices, threads) { bi =>
@@ -139,22 +140,20 @@ abstract class BitshuffleBase(val threads: Int, val blockBytes: Int) extends Thr
 }
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */
-final class BitshuffleLz4(threads: Int = Runtime.getRuntime.availableProcessors(),
-                          blockBytes: Int = 65536)
-    extends BitshuffleBase(threads, blockBytes) {
+final class BitshuffleLz4(threads: Int = Runtime.getRuntime.availableProcessors())
+    extends BitshuffleBase(threads) {
   override def name: String = "shf+LZ4"
-  override def withThreads(t: Int): Codec = new BitshuffleLz4(t, blockBytes)
+  override def withThreads(t: Int): Codec = new BitshuffleLz4(t)
   override protected def encode(in: Array[Byte]): Array[Byte] = Lz4Backend.compress(in)
   override protected def decode(in: Array[Byte], outLen: Int): Array[Byte] =
     Lz4Backend.decompress(in, outLen)
 }
 
 /** bitshuffle::zstd — the shuffled stream encoded with zstd. */
-final class BitshuffleZstd(threads: Int = Runtime.getRuntime.availableProcessors(),
-                           blockBytes: Int = 65536)
-    extends BitshuffleBase(threads, blockBytes) {
+final class BitshuffleZstd(threads: Int = Runtime.getRuntime.availableProcessors())
+    extends BitshuffleBase(threads) {
   override def name: String = "shf+zstd"
-  override def withThreads(t: Int): Codec = new BitshuffleZstd(t, blockBytes)
+  override def withThreads(t: Int): Codec = new BitshuffleZstd(t)
   override protected def encode(in: Array[Byte]): Array[Byte] = ZstdBackend.compress(in)
   override protected def decode(in: Array[Byte], outLen: Int): Array[Byte] =
     ZstdBackend.decompress(in, outLen)

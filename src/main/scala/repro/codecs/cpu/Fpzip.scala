@@ -51,7 +51,7 @@ final class Fpzip extends Codec {
     out.writeIntLE(symBytes.length)
     out.write(symBytes)
     out.write(rawBytes)
-    val bytes = out.toByteArray
+    val bytes = out.toArray
     Compressed(bytes, WorkProfile(block.sizeBytes, bytes.length,
                                   block.n.toLong * 40, divergent = false))
   }

@@ -154,7 +154,7 @@ object NdzipCore {
       while (i < w) { if (work(base + i) != 0) out.writeWordLE(work(base + i), bytes); i += 1 }
       base += w
     }
-    out.toByteArray
+    out.toArray
   }
 
   private def decodeResiduals(data: Array[Byte], off: Int, w: Int): (Array[Long], Int) = {
@@ -230,7 +230,7 @@ object NdzipCore {
       if (g.nTiles == 0 || !inAligned(i, g)) out.writeWordLE(vals(i), w / 8)
       i += 1
     }
-    val bytes = out.toByteArray
+    val bytes = out.toArray
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
     val ops = block.sizeBytes * 7
     Compressed(bytes, WorkProfile(block.sizeBytes * 2, bytes.length, ops, divergent = false))

@@ -20,22 +20,20 @@ import repro.core._
   * [[repro.core.ReusedTable]]). The decoder takes the chunk layout from the
   * stream, so a stream decodes at any thread count.
   */
-final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCodec {
-  import Pfpc.{dfcmHash, fcmHash}
+final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
+  import Pfpc.{dfcmHash, fcmHash, tables}
 
   override def name: String     = "pFPC"
   override def platform: String = "CPU"
-  override def withThreads(t: Int): Codec = new Pfpc(t, tableBits)
-
-  private val tableMask = (1 << tableBits) - 1
+  override def withThreads(t: Int): Codec = new Pfpc(t)
 
   override def compress(block: FpBlock): Compressed = {
-    val words  = toWords(block)
+    val words  = Words.pack(block)
     val chunks = chunkRanges(words.length, threads)
     val parts  = Parallel.map(chunks, threads) { case (from, until) =>
       compressChunk(words, from, until)
     }
-    val bytes = Frame.write(parts).toByteArray
+    val bytes = Frame.write(parts).toArray
     Compressed(bytes, WorkProfile(words.length.toLong * 8, bytes.length,
                                   words.length.toLong * 20, divergent = false))
   }
@@ -51,13 +49,13 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       val (from, until) = chunks(ci)
       decompressChunk(data, offsets(ci), words, from, until)
     }
-    Decompressed(fromWords(words, precision, extent),
+    Decompressed(Words.unpack(words, precision, extent),
                  WorkProfile(data.length, nWords.toLong * 8, nWords.toLong * 14, divergent = false))
   }
 
   private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {
     val out   = new ByteBuf((until - from) * 8 / 2 + 16)
-    val t     = Pfpc.tables(tableBits).acquire(until - from)
+    val t     = tables.get.acquire(until - from)
     val fcm   = t.fcm
     val dfcm  = t.dfcm
     var fHash = 0
@@ -85,9 +83,9 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       val pF    = fcm(fHash)
       val pD    = dfcm(dHash) + last
       fcm(fHash) = v
-      fHash = fcmHash(fHash, v, tableMask)
+      fHash = fcmHash(fHash, v)
       dfcm(dHash) = v - last
-      dHash = dfcmHash(dHash, v - last, tableMask)
+      dHash = dfcmHash(dHash, v - last)
       last = v
 
       val xF = v ^ pF
@@ -105,12 +103,12 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
     }
     t.release(until - from)(t.reset(words, from, until))
     if (pair == 1) flushPair(1)
-    out.toByteArray
+    out.toArray
   }
 
   private def decompressChunk(data: Array[Byte], offset: Int,
                               words: Array[Long], from: Int, until: Int): Unit = {
-    val t     = Pfpc.tables(tableBits).acquire(until - from)
+    val t     = tables.get.acquire(until - from)
     val fcm   = t.fcm
     val dfcm  = t.dfcm
     var fHash = 0
@@ -132,9 +130,9 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
         val pD = dfcm(dHash) + last
         val v  = if ((code & 8) == 0) x ^ pF else x ^ pD
         fcm(fHash) = v
-        fHash = fcmHash(fHash, v, tableMask)
+        fHash = fcmHash(fHash, v)
         dfcm(dHash) = v - last
-        dHash = dfcmHash(dHash, v - last, tableMask)
+        dHash = dfcmHash(dHash, v - last)
         last = v
         words(i + j) = v
         j += 1
@@ -157,24 +155,23 @@ final class Pfpc(val threads: Int = 8, tableBits: Int = 16) extends ThreadedCode
       (from, until)
     }
   }
-
-  private def toWords(block: FpBlock): Array[Long] = Words.pack(block)
-
-  private def fromWords(words: Array[Long], precision: Precision, extent: Seq[Long]): FpBlock =
-    Words.unpack(words, precision, extent)
 }
 
 object Pfpc {
+  /** log2 of the FCM and DFCM table sizes. */
+  private final val TableBits = 16
+  private final val TableMask = (1 << TableBits) - 1
+
   /** FCM's and DFCM's next table slot, from the current slot and the value
     * (FCM) or the delta from the previous value (DFCM) just coded.
     */
-  private def fcmHash(h: Int, v: Long, mask: Int): Int      = ((h << 6) ^ (v >>> 48).toInt) & mask
-  private def dfcmHash(h: Int, delta: Long, mask: Int): Int = ((h << 2) ^ (delta >>> 40).toInt) & mask
+  private def fcmHash(h: Int, v: Long): Int      = ((h << 6) ^ (v >>> 48).toInt) & TableMask
+  private def dfcmHash(h: Int, delta: Long): Int = ((h << 2) ^ (delta >>> 40).toInt) & TableMask
 
   /** One thread's FCM/DFCM table pair. */
-  private[cpu] final class Tables(val bits: Int) extends ReusedTable(1 << bits) {
-    val fcm  = new Array[Long](1 << bits)
-    val dfcm = new Array[Long](1 << bits)
+  private[cpu] final class Tables extends ReusedTable(1 << TableBits) {
+    val fcm  = new Array[Long](1 << TableBits)
+    val dfcm = new Array[Long](1 << TableBits)
 
     protected def fill(): Unit = {
       java.util.Arrays.fill(fcm, 0L)
@@ -185,7 +182,6 @@ object Pfpc {
       * replaying the coder's hash recurrence.
       */
     def reset(words: Array[Long], from: Int, until: Int): Unit = {
-      val mask  = fcm.length - 1
       var fHash = 0
       var dHash = 0
       var last  = 0L
@@ -194,20 +190,13 @@ object Pfpc {
         val v = words(i)
         fcm(fHash) = 0L
         dfcm(dHash) = 0L
-        fHash = fcmHash(fHash, v, mask)
-        dHash = dfcmHash(dHash, v - last, mask)
+        fHash = fcmHash(fHash, v)
+        dHash = dfcmHash(dHash, v - last)
         last = v
         i += 1
       }
     }
   }
 
-  private val perThread = new ThreadLocal[Tables]
-
-  /** This thread's table pair, reallocated only when `bits` changes. */
-  private[cpu] def tables(bits: Int): Tables = {
-    var t = perThread.get
-    if (t == null || t.bits != bits) { t = new Tables(bits); perThread.set(t) }
-    t
-  }
+  private val tables = ThreadLocal.withInitial[Tables](() => new Tables)
 }

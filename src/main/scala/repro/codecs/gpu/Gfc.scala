@@ -22,7 +22,7 @@ final class Gfc extends Codec {
   private val Sub = 32
 
   override def compress(block: FpBlock): Compressed = {
-    val words = toWords(block)
+    val words = Words.pack(block)
     val out   = new BitWriter(words.length * 4 + 64)
     var prevLast = 0L
     var base = 0
@@ -71,13 +71,8 @@ final class Gfc extends Codec {
       prevLast = words(end - 1)
       base += Sub
     }
-    Decompressed(fromWords(words, precision, extent),
+    Decompressed(Words.unpack(words, precision, extent),
                  WorkProfile(data.length + nWords.toLong * 8, nWords.toLong * 8,
                              nWords.toLong * 80, divergent = false))
   }
-
-  private def toWords(block: FpBlock): Array[Long] = Words.pack(block)
-
-  private def fromWords(words: Array[Long], precision: Precision, extent: Seq[Long]): FpBlock =
-    Words.unpack(words, precision, extent)
 }

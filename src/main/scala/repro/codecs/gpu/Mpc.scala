@@ -60,7 +60,7 @@ final class Mpc extends Codec {
       while (i < nWords) { if (t(i) != 0) out.writeWordLE(t(i), bytes); i += 1 }
       base += len
     }
-    val stream = out.toByteArray
+    val stream = out.toArray
     // ~14 ops/byte: two delta passes + the bit transpose (DESIGN.md #2)
     val ops = block.sizeBytes * 14
     Compressed(stream, WorkProfile(block.sizeBytes * 3, stream.length, ops, divergent = false))

@@ -11,23 +11,25 @@ import repro.lz.Lz4Backend
   * slowest GPU compressor (Observation 3) while decompression, a copy-heavy
   * loop, is not divergent (Observation 4: DT = 18.6x CT).
   */
-final class NvLz4(chunkBytes: Int = 65536) extends Codec {
+final class NvLz4 extends Codec {
   override def name: String     = "nv:LZ4"
   override def platform: String = "GPU"
 
+  private val ChunkBytes = 65536
+
   override def compress(block: FpBlock): Compressed = {
     val raw   = block.toBytes
-    val parts = Frame.fixedRanges(raw.length, chunkBytes).map { case (from, until) =>
+    val parts = Frame.fixedRanges(raw.length, ChunkBytes).map { case (from, until) =>
       Lz4Backend.compress(java.util.Arrays.copyOfRange(raw, from, until))
     }
-    val bytes = Frame.write(parts).toByteArray
+    val bytes = Frame.write(parts).toArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
                                   raw.length.toLong * 12, divergent = true))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen  = extent.product.toInt * precision.bytes
-    val ranges  = Frame.fixedRanges(rawLen, chunkBytes)
+    val ranges  = Frame.fixedRanges(rawLen, ChunkBytes)
     val offsets = Frame.read(data, ranges.length, ranges.length)
     val raw     = new Array[Byte](rawLen)
     ranges.indices.foreach { i =>

@@ -46,9 +46,6 @@ final class ByteBuf(initialCapacity: Int = 1024) {
   def size: Int = len
 
   def toArray: Array[Byte] = Arrays.copyOf(buf, len)
-
-  /** Drop-in for call sites written against ByteArrayOutputStream. */
-  def toByteArray: Array[Byte] = toArray
 }
 
 object ByteBuf {

@@ -46,9 +46,6 @@ trait Codec extends Serializable {
     */
   def platform: String
 
-  /** Whether the codec uses thread-level parallelism (Table 7/8 eligibility). */
-  def parallel: Boolean = false
-
   def compress(block: FpBlock): Compressed
 
   def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed

@@ -36,5 +36,4 @@ object Parallel {
 trait ThreadedCodec extends Codec {
   def threads: Int
   def withThreads(t: Int): Codec
-  override def parallel: Boolean = true
 }

@@ -41,7 +41,7 @@ final class RangeEncoder {
   def finish(): Array[Byte] = {
     var i = 0
     while (i < 4) { out.write(((low >>> 24) & 0xff).toInt); low = (low << 8) & Mask; i += 1 }
-    out.toByteArray
+    out.toArray
   }
 }
 

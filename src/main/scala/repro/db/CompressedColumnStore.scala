@@ -1,9 +1,9 @@
 package repro.db
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoders, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core._
-import repro.harness.Measure
+import repro.harness.{BlockedRunner, Measure}
 
 /** The paper's "simulated in-memory database" (§5.1.2), ported from
   * HDF5 + Pandas to Parquet + Spark DataFrames (substitution #4 in
@@ -26,10 +26,9 @@ object CompressedColumnStore {
   def write(spark: SparkSession, path: String, block: FpBlock, codec: Codec,
             valuesPerChunk: Int = 65536): Unit = {
     import spark.implicits._
-    val chunks = block.bits.grouped(valuesPerChunk).zipWithIndex.map { case (slice, i) =>
-      val sub = FpBlock(block.precision, Seq(slice.length.toLong), slice)
-      ChunkRow(i.toLong, slice.length.toLong, codec.compress(sub).bytes)
-    }.toSeq
+    val chunks = BlockedRunner.split(block, valuesPerChunk * block.precision.bytes).zipWithIndex.map {
+      case (page, i) => ChunkRow(i.toLong, page.n.toLong, codec.compress(page).bytes)
+    }
     chunks.toDF().write.mode("overwrite").parquet(path)
   }
 
@@ -41,19 +40,14 @@ object CompressedColumnStore {
     */
   def readDecodeQuery(spark: SparkSession, path: String, dataset: String,
                       codec: Codec, precision: Precision): QueryTiming = {
-    import spark.implicits._
-
     // best-of-N timing throughout: this VM shows multi-second CPU-steal dips
     // that would otherwise dominate the ~10-100 ms differences under test
-    val (chunks, readSec) = Measure.best(2) {
-      spark.read.parquet(path).as[ChunkRow].collect().sortBy(_.blockId)
+    val (chunks, readSec) = Measure.best(2)(readChunks(spark, path))
+    val ((values, _), decode) = Measure.codec(codec, 3)(decodeChunks(chunks, codec, precision)) {
+      case (values, work) => (work, chunks.map(_.payload.length.toLong).sum, values.length * 8L)
     }
-    val ((values, _), decode) = Measure.codec(codec, 3) {
-      val ds = chunks.map(c => codec.decompress(c.payload, precision, Seq(c.n)))
-      (ds.flatMap(_.block.toDoubles), ds.map(_.work).foldLeft(WorkProfile.zero)(_ + _))
-    } { case (values, work) => (work, chunks.map(_.payload.length.toLong).sum, values.length * 8L) }
 
-    val df = spark.createDataset(values.toSeq).toDF("value").cache()
+    val df = column(spark, values).cache()
     df.count() // materialize outside the timed section
     val thresholds = histogramThresholds(values)
     val (counts, querySec) = Measure.once {
@@ -65,12 +59,21 @@ object CompressedColumnStore {
   }
 
   /** The decoded column as a DataFrame (for oracle verification in tests). */
-  def decode(spark: SparkSession, path: String, codec: Codec, precision: Precision): DataFrame = {
-    import spark.implicits._
-    val chunks = spark.read.parquet(path).as[ChunkRow].collect().sortBy(_.blockId)
-    val values = chunks.flatMap(c => codec.decompress(c.payload, precision, Seq(c.n)).block.toDoubles)
-    spark.createDataset(values.toSeq).toDF("value")
+  def decode(spark: SparkSession, path: String, codec: Codec, precision: Precision): DataFrame =
+    column(spark, decodeChunks(readChunks(spark, path), codec, precision)._1)
+
+  private def readChunks(spark: SparkSession, path: String): Array[ChunkRow] =
+    spark.read.parquet(path).as(Encoders.product[ChunkRow]).collect().sortBy(_.blockId)
+
+  /** The column's values in chunk order, and the decoders' summed work. */
+  private def decodeChunks(chunks: Array[ChunkRow], codec: Codec,
+                           precision: Precision): (Array[Double], WorkProfile) = {
+    val ds = chunks.map(c => codec.decompress(c.payload, precision, Seq(c.n)))
+    (ds.flatMap(_.block.toDoubles), ds.map(_.work).foldLeft(WorkProfile.zero)(_ + _))
   }
+
+  private def column(spark: SparkSession, values: Array[Double]): DataFrame =
+    spark.createDataset(values.toSeq)(Encoders.scalaDouble).toDF("value")
 
   /** 10 thresholds from the value histogram, per the paper's footnote 14. */
   def histogramThresholds(values: Array[Double], bins: Int = 10): Seq[Double] = {

@@ -8,15 +8,14 @@ import repro.data.{DatasetSpec, FcDatasets}
   *
   * CPU rows carry measured wall-clock seconds; GPU rows carry cost-model
   * seconds (see [[repro.gpusim.GpuModel]]) for the kernel and end-to-end
-  * (kernel + PCIe) flavors. `lossless` is verified bit-exactness.
+  * (kernel + PCIe) flavors. A row exists only for a bit-exact round trip.
   */
 final case class MetricsRow(
     dataset: String, domain: String, precision: String,
     codec: String, platform: String,
     origBytes: Long, compBytes: Long,
     compSec: Double, decompSec: Double,
-    e2eCompSec: Double, e2eDecompSec: Double,
-    lossless: Boolean) {
+    e2eCompSec: Double, e2eDecompSec: Double) {
   def cr: Double = origBytes.toDouble / compBytes
   def ctGBps: Double = origBytes.toDouble / compSec / 1e9
   def dtGBps: Double = origBytes.toDouble / decompSec / 1e9
@@ -28,20 +27,13 @@ final case class MetricsRow(
   */
 object CompressionBench {
 
-  /** Measure one codec over one block with [[Measure.codec]], and verify
-    * that the block decompresses bit-exactly.
-    */
+  /** One [[Measure.roundtrip]] of `codec` over `block`, labelled. */
   def measure(codec: Codec, block: FpBlock, dataset: String, domain: String,
               iters: Int = 2): MetricsRow = {
-    val (comp, ct) = Measure.codec(codec, iters)(codec.compress(block))(
-      c => (c.work, block.sizeBytes, c.bytes.length.toLong))
-    val (dec, dt) = Measure.codec(codec, iters)(
-      codec.decompress(comp.bytes, block.precision, block.extent))(
-      d => (d.work, comp.bytes.length.toLong, block.sizeBytes))
+    val r = Measure.roundtrip(codec, Seq(block), iters)
     MetricsRow(dataset, domain, block.precision.tag, codec.name, codec.platform,
-               block.sizeBytes, comp.bytes.length.toLong,
-               ct.kernel, dt.kernel, ct.endToEnd, dt.endToEnd,
-               dec.block.bits.sameElements(block.bits))
+               r.origBytes, r.compBytes, r.comp.kernel, r.decomp.kernel,
+               r.comp.endToEnd, r.decomp.endToEnd)
   }
 
   /** Run the full grid: build every dataset's block, then measure each

@@ -1,12 +1,13 @@
 package repro.harness
 
-import repro.core.{Codec, WorkProfile}
+import repro.core.{Codec, FpBlock, WorkProfile}
 import repro.gpusim.GpuModel
 
 /** The timing rule behind every table (paper §5). A CPU codec is measured:
   * one untimed warm-up run, whose result the caller keeps, then `iters`
   * timed runs, of which the fastest counts. A GPU codec runs once, and its
   * time comes from [[repro.gpusim.GpuModel]] over that run's work profile.
+  * Every table cell is one [[roundtrip]], checked bit for bit.
   */
 object Measure {
 
@@ -42,5 +43,29 @@ object Measure {
       val (a, s) = best(iters)(run)
       (a, Timing(s, s))
     }
+  }
+
+  /** One round trip's sizes and per-direction timings, summed over its parts. */
+  final case class Roundtrip(origBytes: Long, compBytes: Long, comp: Timing, decomp: Timing) {
+    def cr: Double     = origBytes.toDouble / compBytes
+    def ctGBps: Double = origBytes.toDouble / comp.kernel / 1e9
+    def dtGBps: Double = origBytes.toDouble / decomp.kernel / 1e9
+  }
+
+  /** Compress every part, then decompress every result, each direction timed
+    * by [[codec]]. Outside the timed runs, every part is checked bit for bit:
+    * an `IllegalStateException` names the codec and the first part that differs. */
+  def roundtrip(codec: Codec, parts: Seq[FpBlock], iters: Int): Roundtrip = {
+    def total(ws: Seq[WorkProfile]) = ws.foldLeft(WorkProfile.zero)(_ + _)
+    val origBytes = parts.map(_.sizeBytes).sum
+    val (comps, ct) = Measure.codec(codec, iters)(parts.map(codec.compress))(
+      cs => (total(cs.map(_.work)), origBytes, cs.map(_.bytes.length.toLong).sum))
+    val compBytes = comps.map(_.bytes.length.toLong).sum
+    val (decs, dt) = Measure.codec(codec, iters)(
+      comps.lazyZip(parts).map((c, p) => codec.decompress(c.bytes, p.precision, p.extent)))(
+      ds => (total(ds.map(_.work)), compBytes, origBytes))
+    val bad = decs.iterator.zip(parts).indexWhere { case (d, p) => !d.block.bits.sameElements(p.bits) }
+    if (bad >= 0) throw new IllegalStateException(s"${codec.name} did not round-trip part $bad")
+    Roundtrip(origBytes, compBytes, ct, dt)
   }
 }

@@ -3,7 +3,7 @@ package repro.harness.tables
 import org.apache.spark.sql.SparkSession
 import repro.core.CodecRegistry
 import repro.data.FcDatasets
-import repro.harness.{BlockedRunner, CompressionBench}
+import repro.harness.{BlockedRunner, CompressionBench, Measure}
 
 /** Table 10 — compression performance under 4 KB / 64 KB / 8 MB block sizes
   * for the eight block-convertible methods. Averages are taken over one
@@ -29,8 +29,7 @@ object Table10 {
       bs    <- BlockedRunner.PaperBlockSizes
       codec <- PaperNumbers.Table10Methods.map(CodecRegistry.byName)
     } yield {
-      val runs = blocks.map(b => BlockedRunner.run(codec, b, bs, iters))
-      require(runs.forall(_.lossless), s"${codec.name}@$bs not lossless")
+      val runs = blocks.map(b => Measure.roundtrip(codec, BlockedRunner.split(b, bs), iters))
       Cell(codec.name, bs,
            CompressionBench.harmonicMean(runs.map(_.cr)),
            CompressionBench.arithmeticMean(runs.map(_.ctGBps)),

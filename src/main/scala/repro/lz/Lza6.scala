@@ -107,7 +107,7 @@ object Lza6 {
     if (litFrom < in.length || in.isEmpty) emit(in.length, 0, 0)
     else if (litFrom == in.length && out.size == 0) emit(in.length, 0, 0)
 
-    val bytes = out.toByteArray
+    val bytes = out.toArray
     (bytes, WorkProfile(in.length.toLong * 4, bytes.length, ops + in.length.toLong * 6, divergent = true))
   }
 

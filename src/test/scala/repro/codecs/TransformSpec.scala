@@ -129,16 +129,6 @@ class TransformSpec extends SparkSpec {
     }
   }
 
-  test("bitshuffle block sizes all roundtrip (Table 10 sweep)") {
-    val block = TestInputs.smooth1dD(20000)
-    for (bs <- Seq(4096, 65536, 8 * 1024 * 1024)) {
-      val codec = new repro.codecs.cpu.BitshuffleZstd(threads = 2, blockBytes = bs)
-      val comp  = codec.compress(block)
-      val dec   = codec.decompress(comp.bytes, block.precision, block.extent)
-      assert(dec.block.bits.sameElements(block.bits), s"blockBytes=$bs")
-    }
-  }
-
   test("fpzip uses dimensionality: 3D extent compresses a 3D field better than 1D") {
     val fpzip = new repro.codecs.cpu.Fpzip
     val b3    = TestInputs.smooth3dS(16, 16, 16)

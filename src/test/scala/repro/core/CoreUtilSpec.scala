@@ -19,7 +19,6 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     b.write(Array[Byte](9, 8, 7), 1, 2)
     assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4, 8, 7))
     assert(b.size == 6)
-    assert(b.toByteArray.toSeq == b.toArray.toSeq)
   }
 
   test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
@@ -45,7 +44,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     checkProp(Prop.forAll(partsGen, Gen.choose(0, 20)) { (parts, appended) =>
       val out = Frame.write(parts)
       (0 until appended).foreach(out.write)
-      val data    = out.toByteArray
+      val data    = out.toArray
       val offsets = Frame.read(data, parts.length, parts.length)
       offsets.toSeq == parts.map(_.length).scanLeft(4 + 4 * parts.length)(_ + _) &&
         parts.indices.forall(i => data.slice(offsets(i), offsets(i + 1)).sameElements(parts(i))) &&
@@ -54,7 +53,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   }
 
   test("Frame.read rejects a count outside the accepted range or past the stream") {
-    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3))).toByteArray
+    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3))).toArray
     assert(Frame.read(data, 1, 2).toSeq == Seq(12, 14, 15))
     intercept[IllegalArgumentException](Frame.read(data, 3, 3))
     intercept[IllegalArgumentException](Frame.read(data, 0, 1))
@@ -184,7 +183,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   }
 
   test("ThreadedCodec identification matches the paper's parallel methods") {
-    val parallelNames = CodecRegistry.all.filter(_.parallel).map(_.name).toSet
+    val parallelNames = CodecRegistry.all.collect { case c: ThreadedCodec => c.name }.toSet
     assert(parallelNames == Set("pFPC", "shf+LZ4", "shf+zstd", "ndzip-C"))
   }
 }

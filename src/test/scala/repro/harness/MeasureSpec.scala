@@ -2,12 +2,13 @@ package repro.harness
 
 import repro.SparkSpec
 import repro.codecs.TestInputs
-import repro.codecs.cpu.Gorilla
+import repro.codecs.cpu.{Gorilla, Pfpc}
 import repro.codecs.gpu.NvBitcomp
 import repro.core._
 
 /** The timing rule: a CPU codec gets one warm-up run and `iters` timed runs,
-  * of which the fastest counts; a GPU codec runs exactly once.
+  * of which the fastest counts; a GPU codec runs exactly once. Every round
+  * trip is checked bit for bit.
   */
 class MeasureSpec extends SparkSpec {
 
@@ -24,6 +25,21 @@ class MeasureSpec extends SparkSpec {
     override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
       decompressCalls += 1
       inner.decompress(data, precision, extent)
+    }
+  }
+
+  /** pFPC at `threads` threads, with the lowest bit of one decoded value flipped. */
+  private final class Flipping(val threads: Int) extends ThreadedCodec {
+    private val inner = new Pfpc(threads)
+    override def name: String     = "flipping-pFPC"
+    override def platform: String = "CPU"
+    override def withThreads(t: Int): Codec = new Flipping(t)
+    override def compress(block: FpBlock): Compressed = inner.compress(block)
+    override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
+      val d    = inner.decompress(data, precision, extent)
+      val bits = d.block.bits.clone()
+      bits(bits.length / 2) ^= 1L
+      d.copy(block = FpBlock(precision, extent, bits))
     }
   }
 
@@ -52,15 +68,29 @@ class MeasureSpec extends SparkSpec {
   for ((inner, perPart) <- Seq(new NvBitcomp -> 1, new Gorilla -> (1 + iters))) {
     test(s"measure calls the ${inner.platform} codec ${inner.name} $perPart time(s) per direction") {
       val c = new Counting(inner)
-      assert(CompressionBench.measure(c, block, "x", "HPC", iters).lossless)
+      CompressionBench.measure(c, block, "x", "HPC", iters)
       assert((c.compressCalls, c.decompressCalls) == ((perPart, perPart)))
     }
 
+    // "BlockedRunner.run" is the name this test has always had for Table 10's
+    // blocked round trip, which is now Measure.roundtrip over BlockedRunner.split.
     test(s"BlockedRunner.run calls the ${inner.platform} codec ${inner.name} $perPart time(s) per part") {
       val c     = new Counting(inner)
-      val parts = BlockedRunner.split(block, 4096).size
-      assert(BlockedRunner.run(c, block, 4096, iters).lossless)
-      assert((c.compressCalls, c.decompressCalls) == ((perPart * parts, perPart * parts)))
+      val parts = BlockedRunner.split(block, 4096)
+      Measure.roundtrip(c, parts, iters)
+      assert((c.compressCalls, c.decompressCalls) == ((perPart * parts.size, perPart * parts.size)))
     }
+  }
+
+  test("roundtrip raises, naming codec and part, when a whole block or a page decodes wrong") {
+    for (parts <- Seq(Seq(block), BlockedRunner.split(block, 4096))) {
+      val e = intercept[IllegalStateException](Measure.roundtrip(new Flipping(2), parts, iters = 1))
+      assert(e.getMessage.contains("flipping-pFPC") && e.getMessage.contains("part 0"), e.getMessage)
+    }
+  }
+
+  test("ScalabilityBench.sweep raises when a thread count decodes wrong") {
+    intercept[IllegalStateException](
+      ScalabilityBench.sweep(new Flipping(1), block, iters = 1, threadCounts = Seq(1, 2)))
   }
 }
