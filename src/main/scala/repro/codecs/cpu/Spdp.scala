@@ -20,73 +20,119 @@ final class Spdp extends Codec {
   override def name: String     = "SPDP"
   override def platform: String = "CPU"
 
+  /** LNVs2 and DIM8 in one pass over the block's 8-byte rows, then LNVs1 in
+    * place, then LZa6: the bytes `toBytes` and three separate passes would
+    * give, from one array.
+    */
   override def compress(block: FpBlock): Compressed = {
-    val raw = block.toBytes
-    val s1  = lnvSub(raw, 2)
-    val s2  = dim8Forward(s1)
-    val s3  = lnvSub(s2, 1)
-    val (lz, lzWork) = Lza6.compress(s3)
-    val transformWork = WorkProfile(raw.length.toLong * 3, raw.length.toLong * 3,
-                                    raw.length.toLong * 6, divergent = false)
+    val s = shuffle(block)
+    difference(s)
+    val (lz, lzWork) = Lza6.compress(s)
+    val transformWork = WorkProfile(s.length.toLong * 3, s.length.toLong * 3,
+                                    s.length.toLong * 6, divergent = false)
     Compressed(lz, transformWork + lzWork)
   }
 
+  /** LNVs2 then DIM8 of the block's little-endian bytes. Row `i` of the
+    * bytes goes to byte `i` of each of the 8 columns, and a byte loses the
+    * byte two before it: `w2` holds, for each byte of the row `w`, that
+    * earlier byte. The tail (< 8 bytes) stays in place.
+    */
+  private def shuffle(block: FpBlock): Array[Byte] = {
+    val bits = block.bits
+    val pb   = block.precision.bytes
+    val s    = new Array[Byte](bits.length * pb)
+    val rows = s.length / 8
+    var p2   = 0L
+    var p1   = 0L
+    var i    = 0
+    while (i < rows) {
+      val w  = if (pb == 8) bits(i) else (bits(2 * i) & 0xffffffffL) | (bits(2 * i + 1) << 32)
+      val w2 = (w << 16) | (p1 << 8) | p2
+      s(i)            = (w - w2).toByte
+      s(rows + i)     = ((w >>> 8) - (w2 >>> 8)).toByte
+      s(2 * rows + i) = ((w >>> 16) - (w2 >>> 16)).toByte
+      s(3 * rows + i) = ((w >>> 24) - (w2 >>> 24)).toByte
+      s(4 * rows + i) = ((w >>> 32) - (w2 >>> 32)).toByte
+      s(5 * rows + i) = ((w >>> 40) - (w2 >>> 40)).toByte
+      s(6 * rows + i) = ((w >>> 48) - (w2 >>> 48)).toByte
+      s(7 * rows + i) = ((w >>> 56) - (w2 >>> 56)).toByte
+      p2 = (w >>> 48) & 0xff
+      p1 = w >>> 56
+      i += 1
+    }
+    var k = rows * 8
+    while (k < s.length) {
+      val b = (bits(k / pb) >>> (8 * (k % pb))) & 0xff
+      s(k) = (b - p2).toByte
+      p2 = p1; p1 = b
+      k += 1
+    }
+    s
+  }
+
+  /** LNVs1 in place: b(i) -= b(i-1), wrapping mod 256. */
+  private def difference(b: Array[Byte]): Unit = {
+    var prev = 0
+    var i    = 0
+    while (i < b.length) { val c = b(i); b(i) = (c - prev).toByte; prev = c; i += 1 }
+  }
+
+  /** Undoes the stages in reverse: LNVs1 by a running sum over the LZ
+    * output in place, then DIM8 and LNVs2 in one pass over the 8-byte rows
+    * that writes each value straight into the block.
+    */
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen = extent.product.toInt * precision.bytes
-    val (s3, lzWork) = Lza6.decompress(data, rawLen)
-    val s2  = lnvAdd(s3, 1)
-    val s1  = dim8Inverse(s2)
-    val raw = lnvAdd(s1, 2)
+    val (s, lzWork) = Lza6.decompress(data, rawLen)
+    prefixSum(s)
     val transformWork = WorkProfile(rawLen.toLong * 3, rawLen.toLong * 3,
                                     rawLen.toLong * 6, divergent = false)
-    Decompressed(FpBlock.fromBytes(precision, extent, raw), transformWork + lzWork)
+    Decompressed(FpBlock(precision, extent, unshuffle(s, precision)), transformWork + lzWork)
   }
 
-  /** r(i) = b(i) - b(i-stride), wrapping mod 256; leading bytes pass through. */
-  private def lnvSub(in: Array[Byte], stride: Int): Array[Byte] = {
-    val out  = new Array[Byte](in.length)
-    val lead = math.min(stride, in.length)
-    System.arraycopy(in, 0, out, 0, lead)
-    var i = lead
-    while (i < in.length) { out(i) = (in(i) - in(i - stride)).toByte; i += 1 }
-    out
+  /** LNVs1⁻¹ in place: b(i) += b(i-1), wrapping mod 256. */
+  private def prefixSum(b: Array[Byte]): Unit = {
+    var sum = 0
+    var i   = 0
+    while (i < b.length) { sum += b(i); b(i) = sum.toByte; i += 1 }
   }
 
-  private def lnvAdd(in: Array[Byte], stride: Int): Array[Byte] = {
-    val out  = new Array[Byte](in.length)
-    val lead = math.min(stride, in.length)
-    System.arraycopy(in, 0, out, 0, lead)
-    var i = lead
-    while (i < in.length) { out(i) = (in(i) + out(i - stride)).toByte; i += 1 }
-    out
-  }
-
-  /** Transpose the stream viewed as rows of 8 bytes; the tail (< 8 bytes)
-    * is appended untouched.
+  /** DIM8⁻¹ then LNVs2⁻¹ of `s`, as little-endian values of `precision`.
+    * Row `i` of the stream is byte `i` of each of the 8 columns; a raw byte
+    * adds the raw byte two before it, which `p2` and `p1` carry from row to
+    * row and into the tail.
     */
-  private def dim8Forward(in: Array[Byte]): Array[Byte] = {
-    val rows = in.length / 8
-    val out  = new Array[Byte](in.length)
-    var j = 0
-    while (j < 8) {
-      var i = 0
-      while (i < rows) { out(j * rows + i) = in(i * 8 + j); i += 1 }
-      j += 1
+  private def unshuffle(s: Array[Byte], precision: Precision): Array[Long] = {
+    val pb   = precision.bytes
+    val bits = new Array[Long](s.length / pb)
+    val rows = s.length / 8
+    var p2   = 0
+    var p1   = 0
+    var i    = 0
+    while (i < rows) {
+      val b0 = (s(i) + p2) & 0xff
+      val b1 = (s(rows + i) + p1) & 0xff
+      val b2 = (s(2 * rows + i) + b0) & 0xff
+      val b3 = (s(3 * rows + i) + b1) & 0xff
+      val b4 = (s(4 * rows + i) + b2) & 0xff
+      val b5 = (s(5 * rows + i) + b3) & 0xff
+      val b6 = (s(6 * rows + i) + b4) & 0xff
+      val b7 = (s(7 * rows + i) + b5) & 0xff
+      val lo = (b0 | (b1 << 8) | (b2 << 16) | (b3 << 24)) & 0xffffffffL
+      val hi = (b4 | (b5 << 8) | (b6 << 16) | (b7 << 24)) & 0xffffffffL
+      if (pb == 8) bits(i) = lo | (hi << 32)
+      else { bits(2 * i) = lo; bits(2 * i + 1) = hi }
+      p2 = b6; p1 = b7
+      i += 1
     }
-    System.arraycopy(in, rows * 8, out, rows * 8, in.length - rows * 8)
-    out
-  }
-
-  private def dim8Inverse(in: Array[Byte]): Array[Byte] = {
-    val rows = in.length / 8
-    val out  = new Array[Byte](in.length)
-    var j = 0
-    while (j < 8) {
-      var i = 0
-      while (i < rows) { out(i * 8 + j) = in(j * rows + i); i += 1 }
-      j += 1
+    var k = rows * 8
+    while (k < s.length) {
+      val b = (s(k) + p2) & 0xff
+      bits(k / pb) |= b.toLong << (8 * (k % pb))
+      p2 = p1; p1 = b
+      k += 1
     }
-    System.arraycopy(in, rows * 8, out, rows * 8, in.length - rows * 8)
-    out
+    bits
   }
 }

@@ -10,8 +10,11 @@ import java.util.Arrays
   * byte so the stream is byte-order independent and directly comparable with
   * the papers' layouts.
   *
-  * Fields collect in a 64-bit accumulator; each write stores only the bytes
-  * it completes, so no byte of the buffer is read back.
+  * Fields collect in a 64-bit accumulator. A write that completes a byte
+  * stores all eight bytes of the left-aligned pending bits at once and
+  * advances past the whole ones; the bytes after them are stale until the
+  * next store, `align` or `toArray` overwrites them. No byte of the buffer
+  * is read back.
   */
 final class BitWriter(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))
@@ -27,7 +30,8 @@ final class BitWriter(initialCapacity: Int = 1024) {
 
   /** Write the low `n` bits of `value`, MSB first. `n` in [0, 64]. */
   def writeBits(value: Long, n: Int): Unit = {
-    require(n >= 0 && n <= 64, s"bit count out of range: $n")
+    // Not `require`: its by-name message allocates a closure per call until C2 removes it.
+    if (n < 0 || n > 64) throw new IllegalArgumentException(s"requirement failed: bit count out of range: $n")
     if (n > 56) { put(value >>> 32, n - 32); put(value, 32) }
     else put(value, n)
   }
@@ -37,16 +41,21 @@ final class BitWriter(initialCapacity: Int = 1024) {
     */
   private def put(value: Long, n: Int): Unit = {
     acc = (acc << n) | (value & ((1L << n) - 1))
-    var p = pending + n
+    val p = pending + n
     if (p >= 8) {
       ensure(8)
-      while (p >= 8) {
-        p -= 8
-        buf(bytePos) = (acc >>> p).toByte
-        bytePos += 1
-      }
+      val w = acc << (64 - p) // the p pending bits, left-aligned
+      buf(bytePos)     = (w >>> 56).toByte
+      buf(bytePos + 1) = (w >>> 48).toByte
+      buf(bytePos + 2) = (w >>> 40).toByte
+      buf(bytePos + 3) = (w >>> 32).toByte
+      buf(bytePos + 4) = (w >>> 24).toByte
+      buf(bytePos + 5) = (w >>> 16).toByte
+      buf(bytePos + 6) = (w >>> 8).toByte
+      buf(bytePos + 7) = w.toByte
+      bytePos += p >>> 3
     }
-    pending = p
+    pending = p & 7
   }
 
   def writeBit(b: Int): Unit = put(b.toLong, 1)
@@ -93,7 +102,7 @@ final class BitReader(buf: Array[Byte], startByte: Int = 0) {
 
   /** Read `n` bits (MSB first) as an unsigned value in a Long. `n` in [0, 64]. */
   def readBits(n: Int): Long = {
-    require(n >= 0 && n <= 64, s"bit count out of range: $n")
+    if (n < 0 || n > 64) throw new IllegalArgumentException(s"requirement failed: bit count out of range: $n")
     if (n > 56) (take(n - 32) << 32) | take(32)
     else take(n)
   }
@@ -109,15 +118,31 @@ final class BitReader(buf: Array[Byte], startByte: Int = 0) {
     out
   }
 
+  /** Top the window up with whole bytes until it holds more than 56 bits.
+    * Away from the stream's last 7 bytes, that is one 8-byte gather whose
+    * trailing partial byte is masked off.
+    */
   private def refill(n: Int): Unit = {
-    while (avail <= 56 && nextByte < buf.length) {
-      window |= (buf(nextByte) & 0xffL) << (56 - avail)
-      avail += 8
-      nextByte += 1
+    val b = nextByte
+    if (b + 8 <= buf.length) {
+      val w = ((buf(b) & 0xffL) << 56) | ((buf(b + 1) & 0xffL) << 48) |
+              ((buf(b + 2) & 0xffL) << 40) | ((buf(b + 3) & 0xffL) << 32) |
+              ((buf(b + 4) & 0xffL) << 24) | ((buf(b + 5) & 0xffL) << 16) |
+              ((buf(b + 6) & 0xffL) << 8) | (buf(b + 7) & 0xffL)
+      val r = (64 - avail) & 7 // low bits of w past the last whole byte that fits
+      window |= (w >>> avail) & (-1L << r)
+      nextByte = b + ((64 - avail) >>> 3)
+      avail = 64 - r
+    } else {
+      while (avail <= 56 && nextByte < buf.length) {
+        window |= (buf(nextByte) & 0xffL) << (56 - avail)
+        avail += 8
+        nextByte += 1
+      }
+      if (avail < n)
+        throw new ArrayIndexOutOfBoundsException(
+          s"read of $n bits runs past the end of a ${buf.length}-byte stream")
     }
-    if (avail < n)
-      throw new ArrayIndexOutOfBoundsException(
-        s"read of $n bits runs past the end of a ${buf.length}-byte stream")
   }
 
   def readBit(): Int = take(1).toInt

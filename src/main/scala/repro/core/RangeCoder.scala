@@ -20,8 +20,9 @@ final class RangeEncoder {
   private var range: Long   = Mask
 
   def encode(cumFreq: Long, freq: Long, totFreq: Long): Unit = {
-    require(freq > 0 && cumFreq + freq <= totFreq && totFreq <= Bot,
-            s"bad freqs: cum=$cumFreq f=$freq tot=$totFreq")
+    // Not `require`: its by-name message allocates a closure per call until C2 removes it.
+    if (!(freq > 0 && cumFreq + freq <= totFreq && totFreq <= Bot))
+      throw new IllegalArgumentException(s"requirement failed: bad freqs: cum=$cumFreq f=$freq tot=$totFreq")
     range /= totFreq
     low = (low + cumFreq * range) & Mask
     range *= freq

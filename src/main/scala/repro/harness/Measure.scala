@@ -64,7 +64,8 @@ object Measure {
     val (decs, dt) = Measure.codec(codec, iters)(
       comps.lazyZip(parts).map((c, p) => codec.decompress(c.bytes, p.precision, p.extent)))(
       ds => (total(ds.map(_.work)), compBytes, origBytes))
-    val bad = decs.iterator.zip(parts).indexWhere { case (d, p) => !d.block.bits.sameElements(p.bits) }
+    // Arrays.equals: `sameElements` would box every value it compares.
+    val bad = decs.iterator.zip(parts).indexWhere { case (d, p) => !java.util.Arrays.equals(d.block.bits, p.bits) }
     if (bad >= 0) throw new IllegalStateException(s"${codec.name} did not round-trip part $bad")
     Roundtrip(origBytes, compBytes, ct, dt)
   }

@@ -16,9 +16,11 @@ import repro.core.{BitReader => _, _}
   * sequence legitimately carries no match.
   *
   * The 2^16-entry `head` table is per thread and reused across calls (see
-  * [[repro.core.ReusedTable]]). `prev` is allocated per call: it is never
-  * read before it is written, and keeping it would pin an input-sized array
-  * per thread.
+  * [[repro.core.ReusedTable]]). `prev`, the hash chain, is a ring of
+  * `min(n, 65536)` links allocated per call, position `p`'s link at
+  * `p & 0xffff`: a slot is overwritten only by the position 64 Ki later, and
+  * by then its old owner has left the window, so every chain walk sees the
+  * links a full per-byte array would hold.
   */
 object Lza6 {
   private val MinMatch  = 4
@@ -34,31 +36,26 @@ object Lza6 {
     /** Only positions 0..len-4 are ever inserted. */
     def reset(in: Array[Byte]): Unit = {
       var i = 0
-      while (i + MinMatch <= in.length) { slots(hash4(in, i)) = -1; i += 1 }
+      while (i + MinMatch <= in.length) { slots(hash(word(in, i))) = -1; i += 1 }
     }
   }
 
   private val heads = ThreadLocal.withInitial[Head](() => new Head)
 
-  private def hash4(b: Array[Byte], i: Int): Int = {
-    val v = ((b(i) & 0xff) << 24) | ((b(i + 1) & 0xff) << 16) |
-            ((b(i + 2) & 0xff) << 8) | (b(i + 3) & 0xff)
-    (v * -1640531527) >>> (32 - HashBits) // Knuth multiplicative hash
-  }
+  /** The 4 bytes at `i`, big-endian. */
+  private def word(b: Array[Byte], i: Int): Int =
+    ((b(i) & 0xff) << 24) | ((b(i + 1) & 0xff) << 16) | ((b(i + 2) & 0xff) << 8) | (b(i + 3) & 0xff)
 
-  /** Compress `in`; also returns the approximate work profile of the search
-    * loop (used for roofline / GPU branch-divergence modeling).
-    */
-  def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
-    val out   = new ByteBuf(in.length / 2 + 64)
-    val table = heads.get.acquire(in.length)
-    val head  = table.slots
-    val prev  = new Array[Int](in.length)
-    var ops   = 0L
+  private def hash(word: Int): Int = (word * -1640531527) >>> (32 - HashBits) // Knuth multiplicative hash
 
-    var i       = 0
+  /** The sequences of one `compress` call, written to `out` in order. */
+  private final class Sequences(in: Array[Byte], val out: ByteBuf) {
+    /** First input byte not yet covered by a sequence. */
     var litFrom = 0
 
+    /** The literals `litFrom until litEnd`, then a match of `matchLen` bytes
+      * at `offset` back, or none when `matchLen` is 0.
+      */
     def emit(litEnd: Int, matchLen: Int, offset: Int): Unit = {
       val litLen = litEnd - litFrom
       val litTok = math.min(litLen, 15)
@@ -72,43 +69,65 @@ object Lza6 {
           var r = matchLen - MinMatch - 15; while (r >= 255) { out.write(255); r -= 255 }; out.write(r)
         }
       }
+      litFrom = litEnd + matchLen
     }
+  }
 
-    while (i + MinMatch <= in.length) {
-      val h       = hash4(in, i)
+  /** Compress `in`; also returns the approximate work profile of the search
+    * loop (used for roofline / GPU branch-divergence modeling).
+    *
+    * Every in-window candidate on the chain counts 8 ops, but only one whose
+    * first 4 bytes equal the current position's, and that also matches at
+    * `bestLen`, is extended: any other shares fewer than `MinMatch` bytes, or
+    * no more than `bestLen`, so it could neither be emitted nor replace the
+    * best match.
+    */
+  def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
+    val n     = in.length
+    val seq   = new Sequences(in, new ByteBuf(n / 2 + 64))
+    val table = heads.get.acquire(n)
+    val head  = table.slots
+    val prev  = new Array[Int](math.min(n, Window))
+    val ring  = Window - 1
+    var ops   = 0L
+
+    var i = 0
+    while (i + MinMatch <= n) {
+      val w       = word(in, i)
+      val h       = hash(w)
+      val max     = n - i
       var cand    = head(h)
       var bestLen = 0
       var bestOff = 0
       var chain   = 0
       while (cand >= 0 && i - cand <= Window - 1 && chain < MaxChain) {
         ops += 8
-        var l   = 0
-        val max = in.length - i
-        while (l < max && in(cand + l) == in(i + l)) l += 1
-        if (l > bestLen) { bestLen = l; bestOff = i - cand }
-        cand = prev(cand)
+        if (bestLen < max && in(cand + bestLen) == in(i + bestLen) && word(in, cand) == w) {
+          val m = java.util.Arrays.mismatch(in, cand + MinMatch, cand + max, in, i + MinMatch, n)
+          val l = if (m < 0) max else MinMatch + m
+          if (l > bestLen) { bestLen = l; bestOff = i - cand }
+        }
+        cand = prev(cand & ring)
         chain += 1
       }
       if (bestLen >= MinMatch) {
-        emit(i, bestLen, bestOff)
+        seq.emit(i, bestLen, bestOff)
         // Index every position inside the match so later matches can land here.
         val end = i + bestLen
-        while (i < end && i + MinMatch <= in.length) {
-          val hh = hash4(in, i); prev(i) = head(hh); head(hh) = i; i += 1
+        while (i < end && i + MinMatch <= n) {
+          val hh = hash(word(in, i)); prev(i & ring) = head(hh); head(hh) = i; i += 1
         }
         i = end
-        litFrom = i
       } else {
-        prev(i) = head(h); head(h) = i
+        prev(i & ring) = head(h); head(h) = i
         i += 1
       }
     }
-    table.release(in.length)(table.reset(in))
-    if (litFrom < in.length || in.isEmpty) emit(in.length, 0, 0)
-    else if (litFrom == in.length && out.size == 0) emit(in.length, 0, 0)
+    table.release(n)(table.reset(in))
+    if (seq.litFrom < n || n == 0) seq.emit(n, 0, 0)
 
-    val bytes = out.toArray
-    (bytes, WorkProfile(in.length.toLong * 4, bytes.length, ops + in.length.toLong * 6, divergent = true))
+    val bytes = seq.out.toArray
+    (bytes, WorkProfile(n.toLong * 4, bytes.length, ops + n.toLong * 6, divergent = true))
   }
 
   def decompress(in: Array[Byte], outLen: Int): (Array[Byte], WorkProfile) = {

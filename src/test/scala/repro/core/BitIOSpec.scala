@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{PropSupport, SparkSpec}
 import org.scalacheck.{Gen, Prop}
+import scala.util.{Failure, Success, Try}
 
 class BitIOSpec extends SparkSpec with PropSupport {
   import BitIOSpec._
@@ -86,6 +87,20 @@ class BitIOSpec extends SparkSpec with PropSupport {
     intercept[ArrayIndexOutOfBoundsException](new BitReader(bytes, 1).readAlignedBytes(2))
   }
 
+  test("property: reads in the last 8 bytes of a stream match the oracle and throw where it does") {
+    // Streams of 0..24 bytes put every refill within 8 bytes of the end.
+    val gen = for {
+      len       <- Gen.choose(0, 24)
+      bytes     <- Gen.listOfN(len, Gen.choose(Byte.MinValue, Byte.MaxValue))
+      prefixLen <- Gen.choose(0, 9)
+      widths    <- Gen.listOfN(40, Gen.frequency(4 -> Gen.choose(0, 64), 1 -> Gen.choose(57, 64)))
+    } yield (Array.fill[Byte](prefixLen)(0x5a) ++ bytes, prefixLen, widths)
+    checkProp(Prop.forAllNoShrink(gen) { case (bytes, prefixLen, widths) =>
+      val failure = tailMismatch(bytes, prefixLen, widths)
+      Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
+    }, minTests = 300)
+  }
+
   test("property: writer and reader match the byte-at-a-time oracle after every op") {
     checkProp(Prop.forAllNoShrink(opsGen, Gen.choose(0, 9)) { (ops, prefixLen) =>
       val failure = writeMismatch(ops).orElse(readMismatch(ops, prefixLen))
@@ -106,7 +121,7 @@ object BitIOSpec {
   /** Sequences of writes whose values carry bits above their width. */
   val opsGen: Gen[List[Op]] = {
     val bits = for {
-      n <- Gen.frequency(4 -> Gen.choose(0, 64), 1 -> Gen.oneOf(0, 1, 55, 56, 57, 63, 64))
+      n <- Gen.frequency(4 -> Gen.choose(0, 64), 1 -> Gen.oneOf(0, 1, 55, 56), 1 -> Gen.choose(57, 64))
       v <- Gen.choose(Long.MinValue, Long.MaxValue)
     } yield Bits(v, n)
     val bit = Gen.choose(-3, 3).map(Bit(_))
@@ -135,6 +150,32 @@ object BitIOSpec {
       else if (w.sizeBytes != o.sizeBytes) Some(s"sizeBytes ${w.sizeBytes} != ${o.sizeBytes} after op $i: $op")
       else None
     }.collectFirst { case Some(m) => m }
+  }
+
+  /** Reads `bytes` from `start` with `widths` until the oracle runs past the
+    * end, and checks that a `BitReader` returns the same values and then
+    * throws as well.
+    */
+  def tailMismatch(bytes: Array[Byte], start: Int, widths: List[Int]): Option[String] = {
+    val r  = new BitReader(bytes, start)
+    val or = new ByteLoopBitReader(bytes, start)
+    @annotation.tailrec
+    def loop(reads: List[(Int, Int)]): Option[String] = reads match {
+      case Nil => None
+      case (n, i) :: rest =>
+        val got = Try(r.readBits(n))
+        Try(or.readBits(n)) match {
+          case Success(v) if !got.toOption.contains(v) => Some(s"read $i of $n bits: $got, oracle $v")
+          case Success(_) if r.bytePosition != or.bytePosition =>
+            Some(s"bytePosition ${r.bytePosition} != ${or.bytePosition} after read $i of $n bits")
+          case Success(_) => loop(rest)
+          case Failure(_) => got match {
+            case Failure(_: ArrayIndexOutOfBoundsException) => None
+            case _ => Some(s"read $i of $n bits past the end: $got, oracle threw")
+          }
+        }
+    }
+    loop(widths.zipWithIndex)
   }
 
   /** Reads the oracle's stream of `ops`, after `prefixLen` junk bytes, with a

@@ -70,6 +70,24 @@ class Lza6Spec extends SparkSpec with PropSupport {
     checkProp(Prop.forAll(gen)(in => roundtrip(in).sameElements(in)), minTests = 60)
   }
 
+  test("property: compress matches the full-prev oracle in bytes and WorkProfile") {
+    // Runs over 2-4 symbols fill the hash chains past MaxChain; 65 535..65 537
+    // bytes sit at the window size, and 200 000 bytes wrap the prev ring.
+    val gen = for {
+      n <- Gen.frequency(3 -> Gen.choose(0, 4), 4 -> Gen.choose(5, 3000),
+                         2 -> Gen.oneOf(65535, 65536, 65537, 200000))
+      symbols <- Gen.oneOf(0, 2, 3, 4) // 0: uniform random bytes
+      seed    <- Gen.choose(Long.MinValue, Long.MaxValue)
+    } yield (n, symbols, seed)
+    checkProp(Prop.forAllNoShrink(gen) { case (n, symbols, seed) =>
+      val in = Lza6Spec.input(n, symbols, seed)
+      val (bytes, work)           = Lza6.compress(in)
+      val (oracleBytes, oracleWork) = FullPrevLza6.compress(in)
+      Prop.propBoolean(java.util.Arrays.equals(bytes, oracleBytes) && work == oracleWork) :|
+        s"n=$n symbols=$symbols seed=$seed: ${bytes.length} vs ${oracleBytes.length} bytes, $work vs $oracleWork"
+    }, minTests = 120)
+  }
+
   test("backends: LZ4 roundtrip") {
     val rng = new scala.util.Random(6)
     val in  = Array.fill(10000)((rng.nextInt(8) + 'a').toByte)
@@ -88,5 +106,26 @@ class Lza6Spec extends SparkSpec with PropSupport {
 
   test("backends: LZ4 empty input") {
     assert(Lz4Backend.decompress(Lz4Backend.compress(Array.empty), 0).isEmpty)
+  }
+}
+
+object Lza6Spec {
+  /** `n` bytes from `seed`: uniform when `symbols` is 0, otherwise runs of
+    * 1 to 300 copies of one of `symbols` byte values.
+    */
+  def input(n: Int, symbols: Int, seed: Long): Array[Byte] = {
+    val rng = new scala.util.Random(seed)
+    val out = new Array[Byte](n)
+    if (symbols == 0) rng.nextBytes(out)
+    else {
+      val alphabet = Array.fill(symbols)(rng.nextInt().toByte)
+      var i = 0
+      while (i < n) {
+        val b   = alphabet(rng.nextInt(symbols))
+        val end = math.min(n, i + 1 + rng.nextInt(300))
+        while (i < end) { out(i) = b; i += 1 }
+      }
+    }
+    out
   }
 }

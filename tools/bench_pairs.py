@@ -9,10 +9,13 @@ rebuilt only when the commit changes; the change is the checkout itself,
 uncommitted edits included. For every workload in BENCHMARK.json, each of
 PAIRS pairs runs the unchanged perfbench/run.py once on each side with the
 same seed and length; the side that runs first alternates from pair to pair,
-and each pair uses a new seed. The output
-holds every run's end-to-end metrics, and per metric each side's median and
-quartiles, the change's median relative to the base's, and how many pairs
-the change won, with the core count and the JVM.
+and each pair uses a new seed. One more pair per workload runs the base
+against itself: the base from .bench_base/ and a second copy of it in
+.bench_aa/, so that this A/A difference shows how far two sides read apart
+with equal code. The output holds every run's end-to-end metrics, and per
+metric each side's median and quartiles, the change's median relative to
+the base's, the A/A pair's relative difference, and how many pairs the
+change won, with the core count and the JVM.
 """
 import argparse
 import json
@@ -22,6 +25,7 @@ import subprocess
 import sys
 
 BASE_DIR = ".bench_base"
+AA_DIR = ".bench_aa"
 # Alternating pairs per workload: a gain is claimed only if the change wins
 # at least 9 of 10, so fewer pairs cannot support one.
 PAIRS = 10
@@ -31,10 +35,10 @@ def sh(cmd, **kw):
     return subprocess.run(cmd, check=True, capture_output=True, text=True, **kw).stdout
 
 
-def checkout_base(root, rev):
-    """Unpack `rev` into BASE_DIR unless it already holds that commit."""
+def checkout_base(root, rev, where=BASE_DIR):
+    """Unpack `rev` into `where` unless it already holds that commit."""
     sha = sh(["git", "rev-parse", rev], cwd=root).strip()
-    base = os.path.join(root, BASE_DIR)
+    base = os.path.join(root, where)
     stamp = os.path.join(base, ".commit")
     if os.path.exists(stamp) and open(stamp).read() == sha:
         return base, sha
@@ -64,6 +68,16 @@ def run(checkout, workload, seed, seconds):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def record(result, **labels):
+    """One run's entry in the output: `labels`, its cell counts and its metrics."""
+    return dict(labels, failed=result["failed"], attempted=result["attempted"],
+                metrics={m: v["value"] for m, v in result["metrics"].items()})
+
+
+def show(label, entry):
+    print(f"{label}: " + " ".join(f"{m}={v:.4g}" for m, v in entry["metrics"].items()), flush=True)
+
+
 def summary(values):
     q1, q2, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
@@ -86,6 +100,7 @@ def main():
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     base, sha = checkout_base(root, args.base)
+    aa, _ = checkout_base(root, args.base, AA_DIR)
     sides = {"base": base, "change": root}
 
     runs = {w: {"base": [], "change": []} for w in workloads}
@@ -94,13 +109,17 @@ def main():
         order = ["base", "change"] if k % 2 == 0 else ["change", "base"]
         for w in workloads:
             for side in order:
-                result = run(sides[side], w, seed, seconds)
-                runs[w][side].append({"seed": seed, "first": side == order[0],
-                                      "failed": result["failed"], "attempted": result["attempted"],
-                                      "metrics": {m: v["value"] for m, v in result["metrics"].items()}})
-                print(f"pair {k + 1}/{PAIRS} {w} {side}: " +
-                      " ".join(f"{m}={v['value']:.4g}" for m, v in result["metrics"].items()),
-                      flush=True)
+                entry = record(run(sides[side], w, seed, seconds), seed=seed, first=side == order[0])
+                runs[w][side].append(entry)
+                show(f"pair {k + 1}/{PAIRS} {w} {side}", entry)
+
+    # The A/A pair: the base against its second copy, with a seed no pair used.
+    aa_runs = {w: [] for w in workloads}
+    for w in workloads:
+        for side, checkout in (("base", base), ("aa", aa)):
+            entry = record(run(checkout, w, 101 + PAIRS, seconds), side=side)
+            aa_runs[w].append(entry)
+            show(f"A/A {w} {side}", entry)
 
     head = sh(["git", "rev-parse", "HEAD"], cwd=root).strip()
     dirty = sh(["git", "status", "--porcelain", "--untracked-files=no"], cwd=root).strip()
@@ -118,8 +137,9 @@ def main():
             metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                              "base": summary(b), "change": summary(c),
                              "change_vs_base": statistics.median(c) / statistics.median(b) - 1,
+                             "aa_vs_base": aa_runs[w][1]["metrics"][name] / aa_runs[w][0]["metrics"][name] - 1,
                              "change_wins": f"{wins}/{len(b)}"}
-        report["workloads"][w] = {"metrics": metrics, "runs": runs[w]}
+        report["workloads"][w] = {"metrics": metrics, "runs": runs[w], "aa_runs": aa_runs[w]}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
