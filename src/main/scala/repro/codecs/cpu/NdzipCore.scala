@@ -36,7 +36,7 @@ object NdzipCore {
   // ------------------------------------------------------------- tiling ----
 
   /** Grid geometry: extents, tile counts per dim, and the aligned bounds. */
-  private final case class Geometry(ext: Array[Int], side: Int) {
+  private[cpu] final case class Geometry(ext: Array[Int], side: Int) {
     val dims: Int            = ext.length
     val tiles: Array[Int]    = ext.map(_ / side)
     val aligned: Array[Int]  = tiles.map(_ * side)
@@ -50,7 +50,7 @@ object NdzipCore {
     }
   }
 
-  private def geometry(extent: Seq[Long]): Geometry = {
+  private[cpu] def geometry(extent: Seq[Long]): Geometry = {
     val ext = (if (extent.length > 3) Seq(extent.product) else extent).map(_.toInt).toArray
     Geometry(ext, sideFor(ext.length))
   }
@@ -93,29 +93,41 @@ object NdzipCore {
     }
   }
 
-  /** Is flat index `i` inside the tile-aligned region? */
-  private def inAligned(i: Int, g: Geometry): Boolean = {
-    val st = g.strides
-    var d = 0
-    while (d < g.dims) {
-      if ((i / st(d)) % g.ext(d) >= g.aligned(d)) return false
-      d += 1
+  /** Call `run(from, until)` for each run of flat indices outside the
+    * tile-aligned region, in ascending order; with no tile, that is the
+    * whole grid. Along each axis, the indices past its aligned bound are one
+    * contiguous run; the ones before it recurse into the next axis.
+    */
+  private[cpu] def borderRuns(g: Geometry)(run: (Int, Int) => Unit): Unit = {
+    def axis(d: Int, off: Int): Unit = {
+      val st = g.strides(d)
+      if (d < g.dims - 1) {
+        var k = 0
+        while (k < g.aligned(d)) { axis(d + 1, off + k * st); k += 1 }
+      }
+      if (g.aligned(d) < g.ext(d)) run(off + g.aligned(d) * st, off + g.ext(d) * st)
     }
-    true
+    axis(0, 0)
   }
 
   // ---------------------------------------------------------- transform ----
 
-  /** Separable forward difference along each axis of the s^dims cube. */
+  /** Separable forward difference along each axis of the s^dims cube. Along
+    * an axis of stride `stride`, the cube splits into runs of `stride × side`
+    * elements; in each, every element past the first `stride` takes the
+    * difference to the one `stride` before it.
+    */
   def forwardLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
     val m = mask(w)
     var d = 0
     while (d < dims) {
       val stride = pow(side, dims - 1 - d)
-      var i = a.length - 1
-      while (i >= 0) {
-        if ((i / stride) % side > 0) a(i) = (a(i) - a(i - stride)) & m
-        i -= 1
+      val span   = stride * side
+      var base   = 0
+      while (base < a.length) {
+        var i = base + span - 1
+        while (i >= base + stride) { a(i) = (a(i) - a(i - stride)) & m; i -= 1 }
+        base += span
       }
       d += 1
     }
@@ -126,10 +138,12 @@ object NdzipCore {
     var d = dims - 1
     while (d >= 0) {
       val stride = pow(side, dims - 1 - d)
-      var i = 0
-      while (i < a.length) {
-        if ((i / stride) % side > 0) a(i) = (a(i) + a(i - stride)) & m
-        i += 1
+      val span   = stride * side
+      var base   = 0
+      while (base < a.length) {
+        var i = base + stride
+        while (i < base + span) { a(i) = (a(i) + a(i - stride)) & m; i += 1 }
+        base += span
       }
       d -= 1
     }
@@ -225,10 +239,9 @@ object NdzipCore {
       compressTile(buf, g.dims, w)
     }
     val out = Frame.write(parts)
-    var i = 0
-    while (i < vals.length) {
-      if (g.nTiles == 0 || !inAligned(i, g)) out.writeWordLE(vals(i), w / 8)
-      i += 1
+    borderRuns(g) { (from, until) =>
+      var i = from
+      while (i < until) { out.writeWordLE(vals(i), w / 8); i += 1 }
     }
     val bytes = out.toArray
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
@@ -251,10 +264,11 @@ object NdzipCore {
       moveTile(vals, buf, g, t, gather = false)
     }
     var pos = offsets(nT)
-    var i = 0
-    while (i < n) {
-      if (nT == 0 || !inAligned(i, g)) { vals(i) = ByteBuf.readWordLE(data, pos, w / 8); pos += w / 8 }
-      i += 1
+    borderRuns(g) { (from, until) =>
+      var i = from
+      var p = pos
+      while (i < until) { vals(i) = ByteBuf.readWordLE(data, p, w / 8); p += w / 8; i += 1 }
+      pos = p
     }
     val ops = n.toLong * precision.bytes * 7
     Decompressed(FpBlock(precision, extent, vals),

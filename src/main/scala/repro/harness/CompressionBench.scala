@@ -11,8 +11,7 @@ import repro.data.{DatasetSpec, FcDatasets}
   * (kernel + PCIe) flavors. A row exists only for a bit-exact round trip.
   */
 final case class MetricsRow(
-    dataset: String, domain: String, precision: String,
-    codec: String, platform: String,
+    dataset: String, domain: String, codec: String, platform: String,
     origBytes: Long, compBytes: Long,
     compSec: Double, decompSec: Double,
     e2eCompSec: Double, e2eDecompSec: Double) {
@@ -31,7 +30,7 @@ object CompressionBench {
   def measure(codec: Codec, block: FpBlock, dataset: String, domain: String,
               iters: Int = 2): MetricsRow = {
     val r = Measure.roundtrip(codec, Seq(block), iters)
-    MetricsRow(dataset, domain, block.precision.tag, codec.name, codec.platform,
+    MetricsRow(dataset, domain, codec.name, codec.platform,
                r.origBytes, r.compBytes, r.comp.kernel, r.decomp.kernel,
                r.comp.endToEnd, r.decomp.endToEnd)
   }

@@ -16,17 +16,26 @@ import repro.core.{BitReader => _, _}
   * sequence legitimately carries no match.
   *
   * The 2^16-entry `head` table is per thread and reused across calls (see
-  * [[repro.core.ReusedTable]]). `prev`, the hash chain, is a ring of
-  * `min(n, 65536)` links allocated per call, position `p`'s link at
-  * `p & 0xffff`: a slot is overwritten only by the position 64 Ki later, and
-  * by then its old owner has left the window, so every chain walk sees the
-  * links a full per-byte array would hold.
+  * [[repro.core.ReusedTable]]). Every position 0..n-4 is linked into its hash
+  * chain in order, whether or not a match later covers it, so the chain a
+  * search at `i` walks depends only on the input and starts at `prev(i)`.
+  * The links are therefore built in a forward pass ahead of the search, up
+  * to 64 Ki positions at a time, and the search never reads `head`. `prev`
+  * is a ring of `min(n, 128 Ki)` links allocated per call, position `p`'s
+  * link at `p & 0x1ffff`: built links reach at most 64 Ki past the searched
+  * position, so a slot is overwritten only by a position more than 64 Ki
+  * past any in-window candidate, and every chain walk sees the links a full
+  * per-byte array would hold.
   */
 object Lza6 {
   private val MinMatch  = 4
   private val Window    = 1 << 16
   private val HashBits  = 16
   private val MaxChain  = 48
+  /** Links of the `prev` ring: twice the window, as links run up to one
+    * window ahead of the search.
+    */
+  private val Links     = Window << 1
 
   /** Most recent position of each 4-byte hash, -1 for none. */
   private final class Head extends ReusedTable(1 << HashBits) {
@@ -87,41 +96,43 @@ object Lza6 {
     val seq   = new Sequences(in, new ByteBuf(n / 2 + 64))
     val table = heads.get.acquire(n)
     val head  = table.slots
-    val prev  = new Array[Int](math.min(n, Window))
-    val ring  = Window - 1
+    val prev  = new Array[Int](math.min(n, Links))
+    val ring  = Links - 1
+    val last  = n - MinMatch // the last position with a 4-byte word
+    var built = 0            // positions below `built` are linked
     var ops   = 0L
 
     var i = 0
-    while (i + MinMatch <= n) {
-      val w       = word(in, i)
-      val h       = hash(w)
-      val max     = n - i
-      var cand    = head(h)
+    while (i <= last) {
+      if (i >= built) {
+        // Link the positions a match skipped, then one window ahead.
+        val to = math.min(last + 1, i + Window)
+        var w  = word(in, built) >>> 8 // the word rolls in one byte per position
+        while (built < to) {
+          w = (w << 8) | (in(built + 3) & 0xff)
+          val h = hash(w); prev(built & ring) = head(h); head(h) = built; built += 1
+        }
+      }
+      var cand    = prev(i & ring)
       var bestLen = 0
       var bestOff = 0
-      var chain   = 0
-      while (cand >= 0 && i - cand <= Window - 1 && chain < MaxChain) {
-        ops += 8
-        if (bestLen < max && in(cand + bestLen) == in(i + bestLen) && word(in, cand) == w) {
-          val m = java.util.Arrays.mismatch(in, cand + MinMatch, cand + max, in, i + MinMatch, n)
-          val l = if (m < 0) max else MinMatch + m
-          if (l > bestLen) { bestLen = l; bestOff = i - cand }
+      if (cand >= 0 && i - cand <= Window - 1) {
+        val w     = word(in, i)
+        val max   = n - i
+        var chain = 0
+        while (cand >= 0 && i - cand <= Window - 1 && chain < MaxChain) {
+          ops += 8
+          if (bestLen < max && in(cand + bestLen) == in(i + bestLen) && word(in, cand) == w) {
+            val m = java.util.Arrays.mismatch(in, cand + MinMatch, cand + max, in, i + MinMatch, n)
+            val l = if (m < 0) max else MinMatch + m
+            if (l > bestLen) { bestLen = l; bestOff = i - cand }
+          }
+          cand = prev(cand & ring)
+          chain += 1
         }
-        cand = prev(cand & ring)
-        chain += 1
       }
-      if (bestLen >= MinMatch) {
-        seq.emit(i, bestLen, bestOff)
-        // Index every position inside the match so later matches can land here.
-        val end = i + bestLen
-        while (i < end && i + MinMatch <= n) {
-          val hh = hash(word(in, i)); prev(i & ring) = head(hh); head(hh) = i; i += 1
-        }
-        i = end
-      } else {
-        prev(i & ring) = head(h); head(h) = i
-        i += 1
-      }
+      if (bestLen >= MinMatch) { seq.emit(i, bestLen, bestOff); i += bestLen }
+      else i += 1
     }
     table.release(n)(table.reset(in))
     if (seq.litFrom < n || n == 0) seq.emit(n, 0, 0)

@@ -72,10 +72,11 @@ class Lza6Spec extends SparkSpec with PropSupport {
 
   test("property: compress matches the full-prev oracle in bytes and WorkProfile") {
     // Runs over 2-4 symbols fill the hash chains past MaxChain; 65 535..65 537
-    // bytes sit at the window size, and 200 000 bytes wrap the prev ring.
+    // bytes sit at the window size, 131 071..131 073 at the prev ring's size,
+    // and 200 000 bytes wrap the ring.
     val gen = for {
       n <- Gen.frequency(3 -> Gen.choose(0, 4), 4 -> Gen.choose(5, 3000),
-                         2 -> Gen.oneOf(65535, 65536, 65537, 200000))
+                         2 -> Gen.oneOf(65535, 65536, 65537, 131071, 131072, 131073, 200000))
       symbols <- Gen.oneOf(0, 2, 3, 4) // 0: uniform random bytes
       seed    <- Gen.choose(Long.MinValue, Long.MaxValue)
     } yield (n, symbols, seed)
@@ -86,6 +87,33 @@ class Lza6Spec extends SparkSpec with PropSupport {
       Prop.propBoolean(java.util.Arrays.equals(bytes, oracleBytes) && work == oracleWork) :|
         s"n=$n symbols=$symbols seed=$seed: ${bytes.length} vs ${oracleBytes.length} bytes, $work vs $oracleWork"
     }, minTests = 120)
+  }
+
+  test("a match longer than the window skips a link-building segment; output equals the oracle") {
+    // The run's match jumps the search past every linked position; the bytes
+    // after it match into the skipped run and into each other.
+    val rng = new scala.util.Random(8)
+    def noise(n: Int) = Array.fill(n)(rng.nextInt().toByte)
+    for (run <- Seq(65537, 70000, 140000)) {
+      val a  = noise(3000)
+      val c  = noise(1000)
+      val in = a ++ Array.fill(run)(0x5a.toByte) ++ c ++ Array.fill(500)(0x5a.toByte) ++ c ++ a.take(100)
+      val (bytes, work) = Lza6.compress(in)
+      val (oracleBytes, oracleWork) = FullPrevLza6.compress(in)
+      assert(java.util.Arrays.equals(bytes, oracleBytes) && work == oracleWork, s"run=$run")
+      assert(roundtrip(in).sameElements(in), s"run=$run")
+    }
+  }
+
+  test("uniform random inputs longer than the link ring equal the oracle") {
+    // Hash chains in random bytes reach far back into the window, so a link
+    // overwritten too early (links built more than a window ahead) is read.
+    for (n <- Seq(200000, 300000); seed <- 1L to 2L) {
+      val in = Lza6Spec.input(n, 0, seed)
+      val (bytes, work) = Lza6.compress(in)
+      val (oracleBytes, oracleWork) = FullPrevLza6.compress(in)
+      assert(java.util.Arrays.equals(bytes, oracleBytes) && work == oracleWork, s"n=$n seed=$seed")
+    }
   }
 
   test("backends: LZ4 roundtrip") {

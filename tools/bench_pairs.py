@@ -14,8 +14,9 @@ against itself: the base from .bench_base/ and a second copy of it in
 .bench_aa/, so that this A/A difference shows how far two sides read apart
 with equal code. The output holds every run's end-to-end metrics, and per
 metric each side's median and quartiles, the change's median relative to
-the base's, the A/A pair's relative difference, and how many pairs the
-change won, with the core count and the JVM.
+the base's, the quartiles of the change's relative difference within each
+pair, the A/A pair's relative difference, and how many pairs the change
+won, with the core count and the JVM.
 """
 import argparse
 import json
@@ -137,6 +138,7 @@ def main():
             metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                              "base": summary(b), "change": summary(c),
                              "change_vs_base": statistics.median(c) / statistics.median(b) - 1,
+                             "pair_change_vs_base": summary([cv / bv - 1 for bv, cv in zip(b, c)]),
                              "aa_vs_base": aa_runs[w][1]["metrics"][name] / aa_runs[w][0]["metrics"][name] - 1,
                              "change_wins": f"{wins}/{len(b)}"}
         report["workloads"][w] = {"metrics": metrics, "runs": runs[w], "aa_runs": aa_runs[w]}
