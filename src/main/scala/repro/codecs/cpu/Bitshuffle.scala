@@ -1,5 +1,8 @@
 package repro.codecs.cpu
 
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
+
 import repro.core._
 import repro.lz.{Lz4Backend, ZstdBackend}
 
@@ -14,129 +17,184 @@ import repro.lz.{Lz4Backend, ZstdBackend}
   * Compression blocks are a fixed 64 KiB.
   */
 abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
+  import BitshuffleBase._
+
   override def platform: String = "CPU"
 
   protected def encode(in: Array[Byte]): Array[Byte]
-  protected def decode(in: Array[Byte], outLen: Int): Array[Byte]
 
-  private val TransposeChunk = 4096 // bytes, L1-resident per the reference impl
-  private val BlockBytes     = 65536
+  /** Decode `in(off until off + len)` into exactly the whole of `out`. */
+  protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit
 
   override def compress(block: FpBlock): Compressed = {
-    val raw      = block.toBytes
     val elemSize = block.precision.bytes
-    val ranges   = Frame.fixedRanges(raw.length, BlockBytes)
-    val parts = Parallel.map(ranges, threads) { case (from, until) =>
-      val shuffled = shuffle(raw, from, until, elemSize)
+    val rawLen   = block.n * elemSize
+    val parts = Parallel.map(Frame.fixedRanges(rawLen, BlockBytes), threads) { case (from, until) =>
+      val shuffled = new Array[Byte](until - from)
+      shuffle(block.bits, from / elemSize, shuffled, elemSize)
       encode(shuffled)
     }
     val bytes = Frame.write(parts).toArray
-    Compressed(bytes, WorkProfile(raw.length.toLong * 3, bytes.length,
-                                  raw.length.toLong * 10, divergent = false))
+    Compressed(bytes, WorkProfile(rawLen.toLong * 3, bytes.length,
+                                  rawLen.toLong * 10, divergent = false))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
-    val rawLen   = extent.product.toInt * precision.bytes
+    val n        = extent.product.toInt
     val elemSize = precision.bytes
+    val rawLen   = n * elemSize
     val ranges   = Frame.fixedRanges(rawLen, BlockBytes)
     val offsets  = Frame.read(data, ranges.length, ranges.length)
-    val raw      = new Array[Byte](rawLen)
+    val bits     = new Array[Long](n)
     Parallel.map(ranges.indices, threads) { bi =>
       val (from, until) = ranges(bi)
-      val part     = java.util.Arrays.copyOfRange(data, offsets(bi), offsets(bi + 1))
-      val shuffled = decode(part, until - from)
-      unshuffle(shuffled, raw, from, until, elemSize)
+      val shuffled = new Array[Byte](until - from)
+      decode(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled)
+      unshuffle(shuffled, bits, from / elemSize, elemSize)
     }
-    Decompressed(FpBlock.fromBytes(precision, extent, raw),
+    Decompressed(FpBlock(precision, extent, bits),
                  WorkProfile(data.length, rawLen, rawLen.toLong * 10, divergent = false))
   }
+}
 
-  /** Bit-transpose `in(from until until)` in 4096-byte chunks. Bytes beyond
-    * the last whole group of `elemSize * 8` stay verbatim at the chunk tail.
+/** The transpose, from the block's words into the shuffled bytes of one
+  * compression block and back, without a little-endian byte copy of the
+  * block in between.
+  *
+  * Bit plane p of a chunk of m values (m/8 bytes wide) holds bit `p ^ 7` of
+  * each of the first `m & ~7` values: byte g of the plane gathers values
+  * 8g..8g+7, value 8g+r at bit `7 - r`. The planes are built 64 values at a
+  * time. Doubles: value i of the group goes to word `i ^ 7`,
+  * `core.BitTranspose.square` turns the 64 words into planes, and word q is
+  * the group's 8 bytes of plane `q ^ 7`, little-endian. Singles: values i and
+  * 32 + i share word `i ^ 7`, low half and high half, and
+  * `BitTranspose.squarePair32` transposes both halves, so that word q again
+  * holds the group's 8 bytes of plane `q ^ 7`. The last `m % 8` values
+  * follow the planes as little-endian bytes.
+  *
+  * A whole group stores each word with one little-endian array-view store,
+  * which measured faster than eight byte stores. The inverse reads each word
+  * byte by byte: array-view loads have measured slower there before, and no
+  * whole-benchmark run has shown otherwise.
+  */
+object BitshuffleBase {
+  /** Bytes per transpose chunk, L1-resident per the reference implementation. */
+  private val TransposeChunk = 4096
+  /** Bytes per compression block. */
+  val BlockBytes = 65536
+  /** Values per transpose group. */
+  private val Group = 64
+
+  private val LongLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+
+  /** Shuffle the `out.length / elemSize` values of `bits` from `first` on
+    * into `out`, chunk by chunk.
     */
-  private def shuffle(in: Array[Byte], from: Int, until: Int, elemSize: Int): Array[Byte] = {
-    val out = new Array[Byte](until - from)
-    var base = from
-    while (base < until) {
-      val chunkLen = math.min(TransposeChunk, until - base)
-      transpose(in, base, out, base - from, chunkLen, elemSize, forward = true)
-      base += chunkLen
+  def shuffle(bits: Array[Long], first: Int, out: Array[Byte], elemSize: Int): Unit = {
+    val group = new Array[Long](elemSize * 8)
+    var c = 0
+    while (c < out.length) {
+      val len = math.min(TransposeChunk, out.length - c)
+      shuffleChunk(bits, first + c / elemSize, len / elemSize, out, c, elemSize, group)
+      c += len
     }
-    out
   }
 
-  private def unshuffle(in: Array[Byte], out: Array[Byte], from: Int, until: Int, elemSize: Int): Unit = {
-    var base = from
-    while (base < until) {
-      val chunkLen = math.min(TransposeChunk, until - base)
-      transpose(in, base - from, out, base, chunkLen, elemSize, forward = false)
-      base += chunkLen
+  /** Unshuffle `in`, the output of [[shuffle]], into
+    * `bits(first until first + in.length / elemSize)`.
+    */
+  def unshuffle(in: Array[Byte], bits: Array[Long], first: Int, elemSize: Int): Unit = {
+    val group = new Array[Long](elemSize * 8)
+    var c = 0
+    while (c < in.length) {
+      val len = math.min(TransposeChunk, in.length - c)
+      unshuffleChunk(in, c, bits, first + c / elemSize, len / elemSize, elemSize, group)
+      c += len
     }
   }
 
-  /** Bit-transpose a chunk: bit plane p = k*8+b (byte k, bit b of each
-    * element) becomes a contiguous run of mm/8 bytes. Elements are processed
-    * in groups of 8 through a 64-bit 8x8 bit-matrix transpose (Hacker's
-    * Delight §7-3) — the scalar stand-in for bitshuffle's SSE2/AVX2 kernels.
-    * Elements beyond the last group of 8, and tail bytes of a partial
-    * element, pass through verbatim.
+  /** Shuffle values `v0 until v0 + m` into the chunk at `out(o)`. A short
+    * last group (a multiple of 8 values) leaves its empty slots zero, whose
+    * plane bytes it does not store.
     */
-  private def transpose(src: Array[Byte], srcOff: Int, dst: Array[Byte], dstOff: Int,
-                        len: Int, elemSize: Int, forward: Boolean): Unit = {
-    val m  = len / elemSize      // whole elements in this chunk
-    val mm = (m / 8) * 8         // elements handled by the 8x8 fast path
-    val w  = mm / 8              // bytes per bit plane
-    var k = 0
-    while (k < elemSize) {
-      var g = 0
-      while (g < w) {
-        if (forward) {
-          var x = 0L
-          var r = 0
-          while (r < 8) {
-            x |= (src(srcOff + (8 * g + r) * elemSize + k) & 0xffL) << (8 * (7 - r))
-            r += 1
-          }
-          val y = transpose8x8(x)
-          var b = 0
-          while (b < 8) {
-            dst(dstOff + (k * 8 + b) * w + g) = ((y >>> (8 * (7 - b))) & 0xff).toByte
-            b += 1
-          }
-        } else {
-          var y = 0L
-          var b = 0
-          while (b < 8) {
-            y |= (src(srcOff + (k * 8 + b) * w + g) & 0xffL) << (8 * (7 - b))
-            b += 1
-          }
-          val x = transpose8x8(y)
-          var r = 0
-          while (r < 8) {
-            dst(dstOff + (8 * g + r) * elemSize + k) = ((x >>> (8 * (7 - r))) & 0xff).toByte
-            r += 1
-          }
+  private def shuffleChunk(bits: Array[Long], v0: Int, m: Int, out: Array[Byte], o: Int,
+                           elemSize: Int, group: Array[Long]): Unit = {
+    val words = group.length
+    val mm    = m & ~7
+    val w     = mm >> 3
+    var e = 0
+    while (e < mm) {
+      val count = math.min(Group, mm - e)
+      val g0    = v0 + e
+      var s = 0
+      if (count < Group) {
+        java.util.Arrays.fill(group, 0L)
+        while (s < count) {
+          val x = bits(g0 + s)
+          if (words == Group) group(s ^ 7) = x
+          else group((s & 31) ^ 7) |= (x & 0xffffffffL) << (s & 32)
+          s += 1
         }
-        g += 1
+      } else if (words == Group) {
+        while (s < Group) { group(s) = bits(g0 + (s ^ 7)); s += 1 }
+      } else {
+        while (s < 32) { group(s) = (bits(g0 + (s ^ 7)) & 0xffffffffL) | (bits(g0 + 32 + (s ^ 7)) << 32); s += 1 }
       }
-      k += 1
+      if (words == Group) BitTranspose.square(group, 0, Group) else BitTranspose.squarePair32(group, 0)
+      val at = o + (e >> 3)
+      var q = 0
+      if (count < Group) {
+        while (q < words) { writeLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
+      } else {
+        while (q < words) { LongLE.set(out, at + (q ^ 7) * w, group(q)); q += 1 }
+      }
+      e += Group
     }
-    // leftover whole elements (m % 8) + tail bytes of a partial element
-    System.arraycopy(src, srcOff + mm * elemSize, dst, dstOff + mm * elemSize,
-                     len - mm * elemSize)
+    var i = mm
+    while (i < m) { writeLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
   }
 
-  /** Transpose the 8x8 bit matrix packed row-major in a 64-bit word. */
-  private def transpose8x8(in: Long): Long = {
-    var x = in
-    var t = (x ^ (x >>> 7)) & 0x00aa00aa00aa00aaL
-    x = x ^ t ^ (t << 7)
-    t = (x ^ (x >>> 14)) & 0x0000cccc0000ccccL
-    x = x ^ t ^ (t << 14)
-    t = (x ^ (x >>> 28)) & 0x00000000f0f0f0f0L
-    x = x ^ t ^ (t << 28)
-    x
+  /** The inverse of [[shuffleChunk]]. */
+  private def unshuffleChunk(in: Array[Byte], o: Int, bits: Array[Long], v0: Int, m: Int,
+                             elemSize: Int, group: Array[Long]): Unit = {
+    val words = group.length
+    val mm    = m & ~7
+    val w     = mm >> 3
+    var e = 0
+    while (e < mm) {
+      val count = math.min(Group, mm - e)
+      val g0    = v0 + e
+      val at    = o + (e >> 3)
+      var q = 0
+      if (count < Group) {
+        while (q < words) { group(q) = ByteBuf.readWordLE(in, at + (q ^ 7) * w, count >> 3); q += 1 }
+      } else {
+        while (q < words) { group(q) = readLE8(in, at + (q ^ 7) * w); q += 1 }
+      }
+      var s = 0
+      if (words == Group) {
+        BitTranspose.square(group, 0, Group)
+        while (s < count) { bits(g0 + s) = group(s ^ 7); s += 1 }
+      } else {
+        BitTranspose.squarePair32(group, 0)
+        while (s < count) { bits(g0 + s) = (group((s & 31) ^ 7) >>> (s & 32)) & 0xffffffffL; s += 1 }
+      }
+      e += Group
+    }
+    var i = mm
+    while (i < m) { bits(v0 + i) = ByteBuf.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
   }
+
+  /** The low `n` bytes of `x` at `out(p)`, least significant first. */
+  private def writeLE(out: Array[Byte], p: Int, x: Long, n: Int): Unit = {
+    var k = 0
+    while (k < n) { out(p + k) = (x >>> (k << 3)).toByte; k += 1 }
+  }
+
+  private def readLE8(in: Array[Byte], p: Int): Long =
+    (in(p) & 0xffL) | ((in(p + 1) & 0xffL) << 8) | ((in(p + 2) & 0xffL) << 16) | ((in(p + 3) & 0xffL) << 24) |
+      ((in(p + 4) & 0xffL) << 32) | ((in(p + 5) & 0xffL) << 40) | ((in(p + 6) & 0xffL) << 48) |
+      ((in(p + 7) & 0xffL) << 56)
 }
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */
@@ -145,8 +203,8 @@ final class BitshuffleLz4(threads: Int = Runtime.getRuntime.availableProcessors(
   override def name: String = "shf+LZ4"
   override def withThreads(t: Int): Codec = new BitshuffleLz4(t)
   override protected def encode(in: Array[Byte]): Array[Byte] = Lz4Backend.compress(in)
-  override protected def decode(in: Array[Byte], outLen: Int): Array[Byte] =
-    Lz4Backend.decompress(in, outLen)
+  override protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit =
+    Lz4Backend.decompress(in, off, len, out, 0, out.length)
 }
 
 /** bitshuffle::zstd — the shuffled stream encoded with zstd. */
@@ -155,6 +213,6 @@ final class BitshuffleZstd(threads: Int = Runtime.getRuntime.availableProcessors
   override def name: String = "shf+zstd"
   override def withThreads(t: Int): Codec = new BitshuffleZstd(t)
   override protected def encode(in: Array[Byte]): Array[Byte] = ZstdBackend.compress(in)
-  override protected def decode(in: Array[Byte], outLen: Int): Array[Byte] =
-    ZstdBackend.decompress(in, outLen)
+  override protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit =
+    ZstdBackend.decompress(in, off, len, out, 0, out.length)
 }

@@ -20,7 +20,7 @@ final class NvLz4 extends Codec {
   override def compress(block: FpBlock): Compressed = {
     val raw   = block.toBytes
     val parts = Frame.fixedRanges(raw.length, ChunkBytes).map { case (from, until) =>
-      Lz4Backend.compress(java.util.Arrays.copyOfRange(raw, from, until))
+      Lz4Backend.compress(raw, from, until - from)
     }
     val bytes = Frame.write(parts).toArray
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
@@ -34,9 +34,7 @@ final class NvLz4 extends Codec {
     val raw     = new Array[Byte](rawLen)
     ranges.indices.foreach { i =>
       val (from, until) = ranges(i)
-      val part = java.util.Arrays.copyOfRange(data, offsets(i), offsets(i + 1))
-      val dec  = Lz4Backend.decompress(part, until - from)
-      System.arraycopy(dec, 0, raw, from, until - from)
+      Lz4Backend.decompress(data, offsets(i), offsets(i + 1) - offsets(i), raw, from, until - from)
     }
     // ~20 ops/byte: LZ4 match copies form a sequential dependency chain,
     // limiting per-thread ILP even without divergence (DESIGN.md #2/#3)

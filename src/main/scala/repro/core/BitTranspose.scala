@@ -1,8 +1,8 @@
 package repro.core
 
 /** Word-parallel bit-matrix transpose, the scalar stand-in for the warp
-  * shuffle / SIMD transposition in MPC's BIT stage and ndzip's residual
-  * coder (Hacker's Delight §7-3, in LSB-first bit order).
+  * shuffle / SIMD transposition in MPC's BIT stage, ndzip's residual coder
+  * and bitshuffle (Hacker's Delight §7-3, in LSB-first bit order).
   */
 object BitTranspose {
 
@@ -16,8 +16,21 @@ object BitTranspose {
     */
   def square(a: Array[Long], off: Int, w: Int): Unit = {
     require(w == 32 || w == 64, s"bit transpose width must be 32 or 64: $w")
+    rounds(a, off, w, if (w == 64) 0x00000000ffffffffL else 0x0000ffffL)
+  }
+
+  /** Two 32 x 32 transposes at once in `a(off until off+32)`: one of the low
+    * halves, as `square(a, off, 32)` does, and one of the high halves. These
+    * are the last five rounds of the 64 x 64 transpose, with its masks.
+    */
+  def squarePair32(a: Array[Long], off: Int): Unit = rounds(a, off, 32, 0x0000ffff0000ffffL)
+
+  /** The rounds j = w/2, w/4, ..., 1 over rows `off until off+w`; `mask`
+    * selects the bits the first round swaps, and each later round halves it.
+    */
+  private def rounds(a: Array[Long], off: Int, w: Int, mask: Long): Unit = {
     var j = w >> 1
-    var m = if (w == 64) 0x00000000ffffffffL else 0x0000ffffL
+    var m = mask
     while (j != 0) {
       var k = 0
       while (k < w) {

@@ -40,6 +40,23 @@ class BitTransposeSpec extends SparkSpec with PropSupport {
     }, minTests = 200)
   }
 
+  test("property: squarePair32 transposes the low and the high halves as two 32-wide squares") {
+    val gen = for {
+      off   <- Gen.choose(0, 40)
+      extra <- Gen.choose(0, 40)
+      words <- Gen.listOfN(off + 32 + extra, Gen.choose(Long.MinValue, Long.MaxValue))
+    } yield (off, words.toArray)
+    checkProp(Prop.forAllNoShrink(gen) { case (off, a) =>
+      val lo = a.map(_ & 0xffffffffL)
+      val hi = a.map(_ >>> 32)
+      BitTranspose.square(lo, off, 32)
+      BitTranspose.square(hi, off, 32)
+      val orig = a.clone()
+      BitTranspose.squarePair32(a, off)
+      a.indices.forall(i => a(i) == (if (i < off || i >= off + 32) orig(i) else lo(i) | (hi(i) << 32)))
+    }, minTests = 200)
+  }
+
   test("square rejects widths other than 32 and 64") {
     intercept[IllegalArgumentException](BitTranspose.square(new Array[Long](16), 0, 16))
   }
