@@ -22,7 +22,7 @@ class Table4Bench extends SparkSpec {
   }
 
   test("Observation 1: most compression ratios are <= 2.0, median modest") {
-    val crs    = result.rows.map(_.cr).sorted
+    val crs    = result.rows.map(_.roundtrip.cr).sorted
     val median = crs(crs.size / 2)
     assert(median < 2.0, s"median CR $median")
     assert(crs.count(_ <= 2.0) > crs.size * 0.7)
@@ -38,7 +38,7 @@ class Table4Bench extends SparkSpec {
 
   test("astro-mhd (entropy ~1) is the most compressible dataset") {
     val perDataset = result.rows.groupBy(_.dataset).view
-      .mapValues(rs => rs.map(_.cr).max).toMap
+      .mapValues(rs => rs.map(_.roundtrip.cr).max).toMap
     assert(perDataset("astro-mhd") == perDataset.values.max)
   }
 

@@ -30,10 +30,10 @@ class Table6Bench extends SparkSpec {
     def mean(f: repro.harness.MetricsRow => Double, codec: String) = {
       val xs = rows.filter(_.codec == codec).map(f); xs.sum / xs.size
     }
-    val bestCpuKernel = Seq("shf+LZ4", "shf+zstd", "ndzip-C").map(mean(_.compSec, _)).min
-    val bestGpuKernel = Seq("GFC", "MPC", "ndzip-G").map(mean(_.compSec, _)).min
-    val bestCpuE2e    = Seq("shf+LZ4", "shf+zstd", "ndzip-C").map(mean(_.e2eCompSec, _)).min
-    val bestGpuE2e    = Seq("GFC", "MPC", "ndzip-G").map(mean(_.e2eCompSec, _)).min
+    val bestCpuKernel = Seq("shf+LZ4", "shf+zstd", "ndzip-C").map(mean(_.roundtrip.comp.kernel, _)).min
+    val bestGpuKernel = Seq("GFC", "MPC", "ndzip-G").map(mean(_.roundtrip.comp.kernel, _)).min
+    val bestCpuE2e    = Seq("shf+LZ4", "shf+zstd", "ndzip-C").map(mean(_.roundtrip.comp.endToEnd, _)).min
+    val bestGpuE2e    = Seq("GFC", "MPC", "ndzip-G").map(mean(_.roundtrip.comp.endToEnd, _)).min
     val kernelGap = bestCpuKernel / bestGpuKernel
     val e2eGap    = bestCpuE2e / bestGpuE2e
     assert(e2eGap < kernelGap / 5, s"kernelGap=$kernelGap e2eGap=$e2eGap")

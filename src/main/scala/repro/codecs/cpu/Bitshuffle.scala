@@ -34,7 +34,7 @@ abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
       shuffle(block.bits, from / elemSize, shuffled, elemSize)
       encode(shuffled)
     }
-    val bytes = Frame.write(parts).toArray
+    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(rawLen.toLong * 3, bytes.length,
                                   rawLen.toLong * 10, divergent = false))
   }

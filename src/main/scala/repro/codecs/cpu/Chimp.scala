@@ -17,8 +17,10 @@ import repro.core._
   *            the stored ones — store the (w - lz) low bits
   *   - `11` : same but new leading-zero count — store 3-bit code then bits
   *
-  * The encoder's index table is per thread and reused across calls (see
-  * [[repro.core.ReusedTable]]).
+  * The encoder's index table and output are per thread and reused across
+  * calls (see [[repro.core.ReusedTable]] and [[repro.core.KeptArray]]).
+  * Leading-zero counts are rounded through lookup tables, as in the
+  * reference implementation.
   */
 final class Chimp extends Codec {
   import Chimp._
@@ -26,18 +28,10 @@ final class Chimp extends Codec {
   override def name: String     = "Chimp"
   override def platform: String = "CPU"
 
-  // Leading-zero counts are rounded down to one of 8 buckets (3-bit code).
-  private val LeadBuckets = Array(0, 8, 12, 16, 18, 20, 22, 24)
-  private def leadCode(lz: Int): Int = {
-    var c = LeadBuckets.length - 1
-    while (LeadBuckets(c) > lz) c -= 1
-    c
-  }
-
   override def compress(block: FpBlock): Compressed = {
     val w       = block.precision.bits
     val lenBits = if (w == 64) 6 else 5
-    val out     = new BitWriter(block.n * block.precision.bytes / 2 + 64)
+    val out     = writers.get.restart(block.n * block.precision.bytes / 2 + 64)
     val vals    = block.bits
     val stored  = new Array[Long](PrevValues)
     val table   = indexTables.get.acquire(vals.length)
@@ -65,24 +59,24 @@ final class Chimp extends Codec {
           if (xor == 0) {
             out.writeBits(refIdx.toLong, 2 + PrevLog2) // 00, index
           } else {
-            val lz  = leadBucketOf(xor, w)
+            val lz  = leadBucket(xor, w)
             val tz  = java.lang.Long.numberOfTrailingZeros(xor)
             val sig = w - lz - tz
             // 01, index, lead code, length
             out.writeBits((1L << (PrevLog2 + 3 + lenBits)) | (refIdx.toLong << (3 + lenBits)) |
-                            (leadCode(lz).toLong << lenBits) | sig, 2 + PrevLog2 + 3 + lenBits)
+                            (LeadCode(lz).toLong << lenBits) | sig, 2 + PrevLog2 + 3 + lenBits)
             out.writeBits(xor >>> tz, sig)
           }
           storedLz = Int.MaxValue
         } else {
           // xor against previous value; trailing zeros <= threshold
-          val lz = leadBucketOf(xor, w)
+          val lz = leadBucket(xor, w)
           if (lz == storedLz) {
             out.writeBits(2L, 2) // 10
             out.writeBits(xor, w - lz)
           } else {
             storedLz = lz
-            out.writeBits((3L << 3) | leadCode(lz), 2 + 3) // 11, lead code
+            out.writeBits((3L << 3) | LeadCode(lz), 2 + 3) // 11, lead code
             out.writeBits(xor, w - lz)
           }
         }
@@ -135,12 +129,6 @@ final class Chimp extends Codec {
   }
 
   private def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
-
-  /** Leading-zero count of x in a w-bit word, rounded down to a bucket value. */
-  private def leadBucketOf(x: Long, w: Int): Int = {
-    val lz = java.lang.Long.numberOfLeadingZeros(x) - (64 - w)
-    LeadBuckets(leadCode(math.min(lz, LeadBuckets.last)))
-  }
 }
 
 object Chimp {
@@ -149,6 +137,26 @@ object Chimp {
   private final val TrailThreshold = 6 + PrevLog2 // 13, per the Chimp128 reference impl
   private final val KeyMask        = (1L << (TrailThreshold + 1)) - 1
   private final val NoIndex        = -PrevValues - 1
+
+  /** Leading-zero counts are rounded down to one of 8 buckets; the 3-bit
+    * code of a bucket is its index here.
+    */
+  private[cpu] val LeadBuckets: Array[Int] = Array(0, 8, 12, 16, 18, 20, 22, 24)
+
+  /** The bucket of each leading-zero count 0..64. */
+  private[cpu] val LeadRound: Array[Int] =
+    Array.tabulate(65)(lz => LeadBuckets.filter(_ <= lz).max)
+
+  /** The 3-bit code of each bucket, indexed by the bucket's value. */
+  private[cpu] val LeadCode: Array[Int] = {
+    val codes = new Array[Int](LeadBuckets.last + 1)
+    LeadBuckets.indices.foreach(c => codes(LeadBuckets(c)) = c)
+    codes
+  }
+
+  /** Leading-zero count of `x` in a w-bit word, rounded down to a bucket. */
+  private[cpu] def leadBucket(x: Long, w: Int): Int =
+    LeadRound(java.lang.Long.numberOfLeadingZeros(x) - (64 - w))
 
   /** The encoder's index of the last position holding each low-bits key. */
   private final class Index extends ReusedTable((KeyMask + 1).toInt) {
@@ -162,4 +170,7 @@ object Chimp {
   }
 
   private val indexTables = ThreadLocal.withInitial[Index](() => new Index)
+
+  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
+  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
 }

@@ -15,10 +15,12 @@ import repro.core._
   *    equivalent of fpzip's fast range coder over sign + leading zeros.
   * 4. Copy the remaining significant bits verbatim.
   *
-  * fpzip is a serial method; no thread parallelism is used.
+  * fpzip is a serial method; no thread parallelism is used. Its three
+  * writers, all live at once, are each kept per thread across calls (see
+  * [[repro.core.KeptArray]]).
   */
 final class Fpzip extends Codec {
-  import Fpzip.Lorenzo
+  import Fpzip.{Lorenzo, writers}
 
   override def name: String     = "fpzip"
   override def platform: String = "CPU"
@@ -28,9 +30,10 @@ final class Fpzip extends Codec {
     val mapped = new Array[Long](block.n)
     var i      = 0
     while (i < mapped.length) { mapped(i) = mapOrdered(block.bits(i), w); i += 1 }
-    val enc    = new RangeEncoder
+    val kept   = writers.get
+    val enc    = new RangeEncoder(kept.symbols.restart(block.n / 2 + 64))
     val model  = new AdaptiveModel(w + 1)
-    val raw    = new BitWriter(block.n * block.precision.bytes / 2 + 64)
+    val raw    = kept.raw.restart(block.n * block.precision.bytes / 2 + 64)
 
     val lorenzo = new Lorenzo(block.extent)
     i = 0
@@ -47,7 +50,7 @@ final class Fpzip extends Codec {
     }
     val symBytes = enc.finish()
     val rawBytes = raw.toArray
-    val out      = new ByteBuf(symBytes.length + rawBytes.length + 8)
+    val out      = kept.frame.restart(symBytes.length + rawBytes.length + 8)
     out.writeIntLE(symBytes.length)
     out.write(symBytes)
     out.write(rawBytes)
@@ -103,6 +106,17 @@ final class Fpzip extends Codec {
 }
 
 object Fpzip {
+  /** One thread's writers: the range-coded symbols, the verbatim bits and
+    * the stream that joins them.
+    */
+  private final class Writers {
+    val symbols = new ByteBuf
+    val raw     = new BitWriter
+    val frame   = new ByteBuf
+  }
+
+  private val writers = ThreadLocal.withInitial[Writers](() => new Writers)
+
   /** Lorenzo prediction from previously coded neighbors over `extent`
     * (fastest-varying dimension last; beyond three, the last two dimensions
     * form the plane). Boundary cells use the scan-order predecessor, and the

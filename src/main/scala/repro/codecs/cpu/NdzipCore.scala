@@ -238,12 +238,13 @@ object NdzipCore {
       moveTile(vals, buf, g, t, gather = true)
       compressTile(buf, g.dims, w)
     }
-    val out = Frame.write(parts)
+    val border = (vals.length - g.nTiles * BlockElems) * (w / 8)
+    val bytes  = Frame.write(parts, border)
+    var pos    = bytes.length - border
     borderRuns(g) { (from, until) =>
       var i = from
-      while (i < until) { out.writeWordLE(vals(i), w / 8); i += 1 }
+      while (i < until) { ByteBuf.writeWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
     }
-    val bytes = out.toArray
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
     val ops = block.sizeBytes * 7
     Compressed(bytes, WorkProfile(block.sizeBytes * 2, bytes.length, ops, divergent = false))

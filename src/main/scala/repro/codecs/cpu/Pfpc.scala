@@ -1,5 +1,8 @@
 package repro.codecs.cpu
 
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
+
 import repro.core._
 
 /** pFPC [Burtscher & Ratanaworabhan, DCC'09] — parallel FPC.
@@ -16,12 +19,13 @@ import repro.core._
   * the way the paper ran it — the raw byte stream is reinterpreted as 64-bit
   * words (padded with zeros to a multiple of 8 bytes).
   *
-  * The FCM/DFCM tables are per thread and reused across calls (see
-  * [[repro.core.ReusedTable]]). The decoder takes the chunk layout from the
+  * The FCM/DFCM tables and the chunk output are per thread and reused
+  * across calls (see [[repro.core.ReusedTable]] and
+  * [[repro.core.KeptArray]]). The decoder takes the chunk layout from the
   * stream, so a stream decodes at any thread count.
   */
 final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
-  import Pfpc.{dfcmHash, fcmHash, tables}
+  import Pfpc.{dfcmHash, fcmHash, LongBE, output, tables}
 
   override def name: String     = "pFPC"
   override def platform: String = "CPU"
@@ -33,7 +37,7 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
     val parts  = Parallel.map(chunks, threads) { case (from, until) =>
       compressChunk(words, from, until)
     }
-    val bytes = Frame.write(parts).toArray
+    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(words.length.toLong * 8, bytes.length,
                                   words.length.toLong * 20, divergent = false))
   }
@@ -53,29 +57,22 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
                  WorkProfile(data.length, nWords.toLong * 8, nWords.toLong * 14, divergent = false))
   }
 
+  /** One chunk's stream, coded into this thread's worst-case output array:
+    * each code goes straight into its pair's shared byte, and each residual
+    * is one big-endian 8-byte store of its non-zero bytes moved to the top,
+    * of which only those bytes are kept.
+    */
   private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {
-    val out   = new ByteBuf((until - from) * 8 / 2 + 16)
-    val t     = tables.get.acquire(until - from)
+    val n     = until - from
+    val out   = output.get.atLeast(Pfpc.worstCase(n))
+    val t     = tables.get.acquire(n)
     val fcm   = t.fcm
     val dfcm  = t.dfcm
     var fHash = 0
     var dHash = 0
     var last  = 0L
-
-    val codes = new Array[Int](2)
-    val resid = new Array[Long](2)
-    var pair  = 0
-
-    def flushPair(count: Int): Unit = {
-      out.write((codes(0) << 4) | (if (count > 1) codes(1) else 0))
-      var j = 0
-      while (j < count) {
-        val lzb = decodeLzb(codes(j) & 7)
-        var b   = 8 - lzb - 1
-        while (b >= 0) { out.write(((resid(j) >>> (8 * b)) & 0xff).toInt); b -= 1 }
-        j += 1
-      }
-    }
+    var op    = 0 // next byte of out
+    var cp    = 0 // the current pair's code byte
 
     var i = from
     while (i < until) {
@@ -95,17 +92,20 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
       val predBit = if (useF) 0 else 1
       var lzb = java.lang.Long.numberOfLeadingZeros(x) / 8
       if (lzb == 4) lzb = 3 // FPC: a count of 4 is encoded as 3 (code space is 3 bits)
-      codes(pair) = (predBit << 3) | encodeLzb(lzb)
-      resid(pair) = x
-      pair += 1
-      if (pair == 2) { flushPair(2); pair = 0 }
+      val code = (predBit << 3) | encodeLzb(lzb)
+      if (((i - from) & 1) == 0) { cp = op; out(op) = (code << 4).toByte; op += 1 }
+      else out(cp) = (out(cp) | code).toByte
+      LongBE.set(out, op, x << (lzb << 3)) // x is 0 when lzb is 8, so the shift by 0 is harmless
+      op += 8 - lzb
       i += 1
     }
-    t.release(until - from)(t.reset(words, from, until))
-    if (pair == 1) flushPair(1)
-    out.toArray
+    t.release(n)(t.reset(words, from, until))
+    java.util.Arrays.copyOf(out, op)
   }
 
+  /** Away from the stream's last 8 bytes, each residual is one big-endian
+    * 8-byte load shifted down to its non-zero bytes.
+    */
   private def decompressChunk(data: Array[Byte], offset: Int,
                               words: Array[Long], from: Int, until: Int): Unit = {
     val t     = tables.get.acquire(until - from)
@@ -123,9 +123,16 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
       while (j < inPair) {
         val code = if (j == 0) codeByte >>> 4 else codeByte & 0xf
         val lzb  = decodeLzb(code & 7)
-        var x    = 0L
-        var b    = 8 - lzb - 1
-        while (b >= 0) { x = (x << 8) | (data(ip) & 0xffL); ip += 1; b -= 1 }
+        val x =
+          if (lzb == 8) 0L // a JVM shift by 64 would shift by 0
+          else if (ip + 8 <= data.length) (LongBE.get(data, ip): Long) >>> (lzb << 3)
+          else {
+            var r = 0L
+            var k = 0
+            while (k < 8 - lzb) { r = (r << 8) | (data(ip + k) & 0xffL); k += 1 }
+            r
+          }
+        ip += 8 - lzb
         val pF = fcm(fHash)
         val pD = dfcm(dHash) + last
         val v  = if ((code & 8) == 0) x ^ pF else x ^ pD
@@ -199,4 +206,14 @@ object Pfpc {
   }
 
   private val tables = ThreadLocal.withInitial[Tables](() => new Tables)
+
+  /** One thread's chunk output, up to [[KeptArray.MaxBytes]]. */
+  private val output = KeptArray.perThread[Byte](1)
+
+  private val LongBE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.BIG_ENDIAN)
+
+  /** Bytes a chunk of `n` words can fill: a code byte per pair, 8 residual
+    * bytes per word, and the tail of the last 8-byte store.
+    */
+  private def worstCase(n: Int): Int = (n + 1) / 2 + 8 * n
 }

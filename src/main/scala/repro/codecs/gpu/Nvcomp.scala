@@ -22,7 +22,7 @@ final class NvLz4 extends Codec {
     val parts = Frame.fixedRanges(raw.length, ChunkBytes).map { case (from, until) =>
       Lz4Backend.compress(raw, from, until - from)
     }
-    val bytes = Frame.write(parts).toArray
+    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
                                   raw.length.toLong * 12, divergent = true))
   }
@@ -51,8 +51,13 @@ final class NvLz4 extends Codec {
   * exactly the regime the paper's roofline places bitcomp in.
   *
   * Layout per 4096-value chunk: [width:1 byte][first word raw][packed deltas].
+  *
+  * The encoder's output and its zigzag chunk are per thread and reused
+  * across calls (see [[repro.core.KeptArray]]).
   */
 final class NvBitcomp extends Codec {
+  import NvBitcomp.{chunks, writers}
+
   override def name: String     = "nv:btcomp"
   override def platform: String = "GPU"
 
@@ -61,12 +66,12 @@ final class NvBitcomp extends Codec {
   override def compress(block: FpBlock): Compressed = {
     val w    = block.precision.bits
     val vals = block.bits
-    val out  = new BitWriter(vals.length * block.precision.bytes / 2 + 64)
+    val out  = writers.get.restart(vals.length * block.precision.bytes / 2 + 64)
+    val zz   = chunks.get.atLeast(math.min(Chunk, vals.length))
     var base = 0
     while (base < vals.length) {
       val len = math.min(Chunk, vals.length - base)
       // zigzag deltas, width = max significant bits in the chunk
-      val zz = new Array[Long](len)
       var width = 0
       var i = 0
       while (i < len) {
@@ -117,4 +122,12 @@ final class NvBitcomp extends Codec {
 
   private def maskW(v: Long, w: Int): Long = if (w == 64) v else v & ((1L << w) - 1)
   private def signExtend(v: Long, w: Int): Long = if (w == 64) v else (v << (64 - w)) >> (64 - w)
+}
+
+object NvBitcomp {
+  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
+  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
+
+  /** One thread's zigzag deltas of a chunk: at most 4096 words, 32 KiB. */
+  private val chunks = KeptArray.perThread[Long](8)
 }

@@ -14,13 +14,31 @@ import java.util.Arrays
   * stores all eight bytes of the left-aligned pending bits at once and
   * advances past the whole ones; the bytes after them are stale until the
   * next store, `align` or `toArray` overwrites them. No byte of the buffer
-  * is read back.
+  * is read back, so a writer can start a new stream over the bytes of its
+  * last one.
+  *
+  * A codec keeps one writer per thread across calls and starts each stream
+  * with [[restart]], under the rule of [[KeptArray]]: the writer keeps its
+  * array only up to [[KeptArray.MaxBytes]], and `toArray` is the one copy
+  * that leaves the call.
   */
 final class BitWriter(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))
-  private var bytePos: Int     = 0  // complete bytes stored in buf
-  private var acc: Long        = 0L // pending bits in the low `pending` bits; higher bits are stale
-  private var pending: Int     = 0  // bits not yet stored, 0..7 between calls
+  private var bytePos: Int     = 0     // complete bytes stored in buf
+  private var acc: Long        = 0L    // pending bits in the low `pending` bits; higher bits are stale
+  private var pending: Int     = 0     // bits not yet stored, 0..7 between calls
+
+  /** Empty the writer for a new stream of about `capacity` bytes, in its
+    * current array if that holds `capacity` and is kept (see [[toArray]]).
+    */
+  def restart(capacity: Int): this.type = {
+    if (buf == null || buf.length < capacity || !KeptArray.keeps(buf.length))
+      buf = new Array[Byte](math.max(16, capacity))
+    bytePos = 0
+    acc = 0L
+    pending = 0
+    this
+  }
 
   private def ensure(extraBytes: Int): Unit = {
     if (bytePos + extraBytes > buf.length) {
@@ -81,9 +99,15 @@ final class BitWriter(initialCapacity: Int = 1024) {
 
   def sizeBits: Long = bytePos.toLong * 8 + pending
 
+  /** The stream as an exact-size copy. A writer whose array grew past
+    * [[KeptArray.MaxBytes]] lets go of it here: until the next `restart` it
+    * holds no array, so a second `toArray` or a write that stores a byte
+    * throws `NullPointerException` instead of returning zeros.
+    */
   def toArray: Array[Byte] = {
     val out = Arrays.copyOf(buf, sizeBytes)
     if (pending > 0) out(bytePos) = (acc << (8 - pending)).toByte
+    if (!KeptArray.keeps(buf.length)) buf = null
     out
   }
 }

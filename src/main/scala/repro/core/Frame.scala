@@ -11,12 +11,24 @@ package repro.core
   */
 object Frame {
 
-  /** A buffer holding the frame of `parts`, for the caller to append to. */
-  def write(parts: Seq[Array[Byte]]): ByteBuf = {
-    val out = new ByteBuf(4 + 4 * parts.length + parts.foldLeft(0)(_ + _.length))
-    out.writeIntLE(parts.length)
-    parts.foreach(p => out.writeIntLE(p.length))
-    parts.foreach(out.write)
+  /** The frame of `parts` followed by `trailer` bytes, in one array of
+    * exactly that size: each part is copied once, and the caller writes its
+    * own data into the last `trailer` bytes.
+    */
+  def write(parts: Seq[Array[Byte]], trailer: Int = 0): Array[Byte] = {
+    val head = 4 + 4 * parts.length
+    val out  = new Array[Byte](head + parts.foldLeft(0)(_ + _.length) + trailer)
+    ByteBuf.writeWordLE(out, 0, parts.length, 4)
+    val it  = parts.iterator
+    var i   = 0
+    var pos = head
+    while (it.hasNext) {
+      val p = it.next()
+      ByteBuf.writeWordLE(out, 4 + 4 * i, p.length, 4)
+      System.arraycopy(p, 0, out, pos, p.length)
+      pos += p.length
+      i += 1
+    }
     out
   }
 

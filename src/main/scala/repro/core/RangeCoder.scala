@@ -13,9 +13,9 @@ object RangeCoder {
   private[core] val Mask: Long = 0xffffffffL
 }
 
-final class RangeEncoder {
+/** Appends the coded bytes to `out`, which a codec that keeps it restarts first. */
+final class RangeEncoder(out: ByteBuf = new ByteBuf()) {
   import RangeCoder._
-  private val out           = new ByteBuf()
   private var low: Long     = 0L
   private var range: Long   = Mask
 

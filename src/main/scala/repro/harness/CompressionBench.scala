@@ -4,21 +4,15 @@ import org.apache.spark.sql.SparkSession
 import repro.core._
 import repro.data.{DatasetSpec, FcDatasets}
 
-/** One (dataset x codec) measurement — the row Tables 4/5/6 aggregate over.
+/** One (dataset x codec) measurement — the row Tables 4/5/6 aggregate over:
+  * the cell's labels and its [[Measure.Roundtrip]].
   *
   * CPU rows carry measured wall-clock seconds; GPU rows carry cost-model
   * seconds (see [[repro.gpusim.GpuModel]]) for the kernel and end-to-end
   * (kernel + PCIe) flavors. A row exists only for a bit-exact round trip.
   */
-final case class MetricsRow(
-    dataset: String, domain: String, codec: String, platform: String,
-    origBytes: Long, compBytes: Long,
-    compSec: Double, decompSec: Double,
-    e2eCompSec: Double, e2eDecompSec: Double) {
-  def cr: Double = origBytes.toDouble / compBytes
-  def ctGBps: Double = origBytes.toDouble / compSec / 1e9
-  def dtGBps: Double = origBytes.toDouble / decompSec / 1e9
-}
+final case class MetricsRow(dataset: String, domain: String, codec: String, platform: String,
+                            roundtrip: Measure.Roundtrip)
 
 /** The core benchmark: every (dataset, codec) cell of the FCBench grid.
   * Spark generates the dataset blocks (the corpus is MB-scale); the cells
@@ -29,10 +23,7 @@ object CompressionBench {
   /** One [[Measure.roundtrip]] of `codec` over `block`, labelled. */
   def measure(codec: Codec, block: FpBlock, dataset: String, domain: String,
               iters: Int = 2): MetricsRow = {
-    val r = Measure.roundtrip(codec, Seq(block), iters)
-    MetricsRow(dataset, domain, codec.name, codec.platform,
-               r.origBytes, r.compBytes, r.comp.kernel, r.decomp.kernel,
-               r.comp.endToEnd, r.decomp.endToEnd)
+    MetricsRow(dataset, domain, codec.name, codec.platform, Measure.roundtrip(codec, Seq(block), iters))
   }
 
   /** Run the full grid: build every dataset's block, then measure each

@@ -23,16 +23,16 @@ object Table4 {
           iters: Int = BenchConfig.iters): Result = {
     val rows    = GridCache.metrics(spark, targetValues, iters)
     val methods = PaperNumbers.Methods
-    val cr      = rows.map(r => (r.dataset, r.codec) -> r.cr).toMap
+    val cr      = rows.map(r => (r.dataset, r.codec) -> r.roundtrip.cr).toMap
 
     val domains = Seq("HPC", "TS", "OBS", "DB")
     val byDomain = rows.groupBy(_.domain)
     val domainAvg = (for {
       d <- domains; m <- methods
     } yield (d, m) -> CompressionBench.harmonicMean(
-      byDomain(d).filter(_.codec == m).map(_.cr))).toMap
+      byDomain(d).filter(_.codec == m).map(_.roundtrip.cr))).toMap
     val overallAvg = methods.map(m =>
-      m -> CompressionBench.harmonicMean(rows.filter(_.codec == m).map(_.cr))).toMap
+      m -> CompressionBench.harmonicMean(rows.filter(_.codec == m).map(_.roundtrip.cr))).toMap
 
     // Friedman over the full (dataset x method) CR matrix
     val scores = FcDatasets.all.map(s => methods.map(m => m -> cr((s.name, m))).toMap)

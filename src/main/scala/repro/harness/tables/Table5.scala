@@ -19,9 +19,9 @@ object Table5 {
     val rows    = GridCache.metrics(spark, targetValues, iters)
     val methods = PaperNumbers.Methods
     val comp = methods.map(m =>
-      m -> CompressionBench.arithmeticMean(rows.filter(_.codec == m).map(_.ctGBps))).toMap
+      m -> CompressionBench.arithmeticMean(rows.filter(_.codec == m).map(_.roundtrip.ctGBps))).toMap
     val decomp = methods.map(m =>
-      m -> CompressionBench.arithmeticMean(rows.filter(_.codec == m).map(_.dtGBps))).toMap
+      m -> CompressionBench.arithmeticMean(rows.filter(_.codec == m).map(_.roundtrip.dtGBps))).toMap
 
     val header = "metric" +: methods
     val body = Seq(

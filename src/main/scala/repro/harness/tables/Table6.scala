@@ -23,10 +23,10 @@ object Table6 {
     val methods = PaperNumbers.Table6Methods
     val comp = methods.map(m =>
       m -> CompressionBench.arithmeticMean(
-        rows.filter(_.codec == m).map(_.e2eCompSec * 1e3))).toMap
+        rows.filter(_.codec == m).map(_.roundtrip.comp.endToEnd * 1e3))).toMap
     val decomp = methods.map(m =>
       m -> CompressionBench.arithmeticMean(
-        rows.filter(_.codec == m).map(_.e2eDecompSec * 1e3))).toMap
+        rows.filter(_.codec == m).map(_.roundtrip.decomp.endToEnd * 1e3))).toMap
 
     val header = "metric" +: methods
     val body = Seq(

@@ -5,21 +5,28 @@ import java.lang.ref.Cleaner
 import net.jpountz.lz4.{LZ4Exception, LZ4Factory}
 import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdException}
 
+import repro.core.KeptArray
+
 /** LZ4 block codec via lz4-java (already on the Spark classpath).
   *
   * Used by bitshuffle::LZ4 and the nvCOMP::LZ4 substitute. We use the fast
   * compressor — bitshuffle's C binding does the same — so compression and
   * decompression throughput stay in the paper's observed balance. Decoding
   * uses the safe decompressor, which is bounded by the part's length.
+  *
+  * The worst-case output buffer is per thread and reused across calls (see
+  * [[repro.core.KeptArray]]); each block leaves as an exact-size copy.
   */
 object Lz4Backend {
   private val factory = LZ4Factory.fastestJavaInstance()
+
+  private val output = KeptArray.perThread[Byte](1)
 
   /** The LZ4 block of `in(off until off + len)`. */
   def compress(in: Array[Byte], off: Int, len: Int): Array[Byte] = {
     val c   = factory.fastCompressor()
     val max = c.maxCompressedLength(len)
-    val buf = new Array[Byte](max)
+    val buf = output.get.atLeast(max)
     val n   = c.compress(in, off, len, buf, 0, max)
     java.util.Arrays.copyOf(buf, n)
   }
@@ -57,7 +64,9 @@ object Lz4Backend {
   * behind a `ThreadLocal`, never in a codec field, because a codec is
   * `Serializable` and shared by every thread that calls it. zstd starts every
   * frame from the context's parameters, so reuse changes no output, and a
-  * call that fails leaves nothing behind for the next one.
+  * call that fails leaves nothing behind for the next one. The worst-case
+  * output buffer is kept per thread in the same way (see
+  * [[repro.core.KeptArray]]).
   */
 object ZstdBackend {
   val Level = 3
@@ -79,10 +88,13 @@ object ZstdBackend {
     ctx
   }
 
+  private val output = KeptArray.perThread[Byte](1)
+
   /** The zstd frame of `in(off until off + len)`. */
   def compress(in: Array[Byte], off: Int, len: Int): Array[Byte] = {
-    val buf = new Array[Byte](Zstd.compressBound(len.toLong).toInt)
-    val n   = contexts.get.compress.compressByteArray(buf, 0, buf.length, in, off, len)
+    val max = Zstd.compressBound(len.toLong).toInt
+    val buf = output.get.atLeast(max)
+    val n   = contexts.get.compress.compressByteArray(buf, 0, max, in, off, len)
     java.util.Arrays.copyOf(buf, n)
   }
 

@@ -21,11 +21,16 @@ import repro.core.{BitReader => _, _}
   * search at `i` walks depends only on the input and starts at `prev(i)`.
   * The links are therefore built in a forward pass ahead of the search, up
   * to 64 Ki positions at a time, and the search never reads `head`. `prev`
-  * is a ring of `min(n, 128 Ki)` links allocated per call, position `p`'s
-  * link at `p & 0x1ffff`: built links reach at most 64 Ki past the searched
+  * is a ring of `min(n, 128 Ki)` links, position `p`'s link at
+  * `p & 0x1ffff`: built links reach at most 64 Ki past the searched
   * position, so a slot is overwritten only by a position more than 64 Ki
   * past any in-window candidate, and every chain walk sees the links a full
   * per-byte array would hold.
+  *
+  * The ring and the output buffer are per thread and reused across calls
+  * up to 64 KiB each (see [[repro.core.KeptArray]]), which covers a 4 KiB
+  * page's ring of 4 Ki links. The ring needs no clearing: every slot a call
+  * reads is one it linked before.
   */
 object Lza6 {
   private val MinMatch  = 4
@@ -50,6 +55,9 @@ object Lza6 {
   }
 
   private val heads = ThreadLocal.withInitial[Head](() => new Head)
+
+  private val rings   = KeptArray.perThread[Int](4)
+  private val outputs = ThreadLocal.withInitial[ByteBuf](() => new ByteBuf)
 
   /** The 4 bytes at `i`, big-endian. */
   private def word(b: Array[Byte], i: Int): Int =
@@ -93,10 +101,10 @@ object Lza6 {
     */
   def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
     val n     = in.length
-    val seq   = new Sequences(in, new ByteBuf(n / 2 + 64))
+    val seq   = new Sequences(in, outputs.get.restart(n / 2 + 64))
     val table = heads.get.acquire(n)
     val head  = table.slots
-    val prev  = new Array[Int](math.min(n, Links))
+    val prev  = rings.get.atLeast(math.min(n, Links))
     val ring  = Links - 1
     val last  = n - MinMatch // the last position with a 4-byte word
     var built = 0            // positions below `built` are linked

@@ -4,13 +4,14 @@ import java.lang.management.ManagementFactory
 
 import repro.SparkSpec
 import repro.core.{Codec, FpBlock}
-import repro.codecs.cpu.{BitshuffleLz4, BitshuffleZstd, Buff, Fpzip, Spdp}
-import repro.codecs.gpu.NvLz4
+import repro.codecs.cpu.{BitshuffleLz4, BitshuffleZstd, Buff, Chimp, Fpzip, Gorilla, Pfpc, Spdp}
+import repro.codecs.gpu.{NvBitcomp, NvLz4}
 
 /** Bytes the calling thread allocates for one compress + decompress of a
-  * 32 768-value double block (256 KiB). Boxing every value in an `Array.map`
+  * 32 768-value double block (256 KiB), and of a 512-value double page
+  * (4 KiB, Table 10's smallest block). Boxing every value in an `Array.map`
   * or allocating a buffer per value or per trial shows here as several times
-  * the block's size.
+  * the block's size; on a page, so does a per-call buffer or table.
   */
 class AllocationBudgetSpec extends SparkSpec {
   private val threads =
@@ -40,16 +41,16 @@ class AllocationBudgetSpec extends SparkSpec {
   /** Two-decimal values: BUFF tries p = 0, 1 and 2 before it packs them. */
   private val block: FpBlock = TestInputs.decimalD(32768, 2, 0, 53)
 
-  /** The fewest bytes allocated over five runs, after warm-up runs that
+  /** The fewest bytes allocated over five runs, after `warmUps` runs that
     * let the JIT compile the loops.
     */
-  private def allocatedBytes(codec: Codec): Long = {
+  private def allocatedBytes(codec: Codec, block: FpBlock = block, warmUps: Int = 20): Long = {
     def roundtrip(): Unit = {
       val bytes = codec.compress(block).bytes
       // Arrays.equals: `sameElements` would box every value it compares.
       assert(java.util.Arrays.equals(codec.decompress(bytes, block.precision, block.extent).block.bits, block.bits))
     }
-    for (_ <- 1 to 20) roundtrip()
+    for (_ <- 1 to warmUps) roundtrip()
     val id = Thread.currentThread().getId
     (1 to 5).map { _ =>
       val before = threads.getThreadAllocatedBytes(id)
@@ -69,5 +70,33 @@ class AllocationBudgetSpec extends SparkSpec {
     test(s"${codec.name} allocates at most ${budget >> 10} KiB for a 256 KiB block round trip") {
       val used = allocatedBytes(codec)
       assert(used <= budget, s"${codec.name} allocated ${used >> 10} KiB")
+    }
+
+  /** The same values on one 4 KiB page. */
+  private val page: FpBlock = TestInputs.decimalD(512, 2, 0, 53)
+
+  /** One-thread page round trips of the 8 Table 10 codecs measured, in
+    * bytes, once writers, output buffers, LZa6's ring and nv:btcomp's chunk
+    * were kept per thread and frames built in one copy (before, in
+    * brackets): pFPC 13 384 (23 528), SPDP 16 864 (39 472), shf+LZ4 36 264
+    * (43 032), shf+zstd 19 816 (26 576), Gorilla 8 520 (14 888), Chimp
+    * 8 600 (10 728), nv:LZ4 34 888 (41 552), nv:btcomp 8 112 (18 560), on
+    * OpenJDK 17. About 8 KiB of each is the stream and the decoded page.
+    * shf+LZ4 and nv:LZ4 also hold lz4-java's 16 KiB hash table, which it
+    * allocates on every call. Each budget leaves a margin of 11% to 32%
+    * above its figure and lies below the figure before.
+    */
+  private val pageBudgets: Seq[(Codec, Long)] = Seq(
+    new Pfpc(1) -> (16L << 10), new Spdp -> (20L << 10), new BitshuffleLz4(1) -> (40L << 10),
+    new BitshuffleZstd(1) -> (24L << 10), new Gorilla -> (11L << 10), new Chimp -> (10L << 10),
+    new NvLz4 -> (38L << 10), new NvBitcomp -> (10L << 10))
+
+  /** Many runs: a page round trip is too short for 20 to reach the JIT. */
+  private val PageWarmUps = 3000
+
+  for ((codec, budget) <- pageBudgets)
+    test(s"${codec.name} allocates at most ${budget >> 10} KiB for a 4 KiB page round trip") {
+      val used = allocatedBytes(codec, page, PageWarmUps)
+      assert(used <= budget, s"${codec.name} allocated $used bytes")
     }
 }

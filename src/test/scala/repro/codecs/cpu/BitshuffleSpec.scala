@@ -124,7 +124,7 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
     test(s"${codec.name} raises on a part that is a whole frame of too few bytes") {
       val rng   = new scala.util.Random(12)
       val short = encode(Array.fill(60000)(rng.nextInt(4).toByte))
-      val data  = Frame.write(Seq(short)).toArray
+      val data  = Frame.write(Seq(short))
       intercept[IllegalArgumentException](codec.decompress(data, Precision.Double, Seq(8192L)))
     }
 
@@ -134,9 +134,9 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
       val data  = codec.compress(b).bytes
       val offs  = Frame.read(data, 3, 3)
       val parts = (0 until 3).map(i => java.util.Arrays.copyOfRange(data, offs(i), offs(i + 1)))
-      assert(java.util.Arrays.equals(Frame.write(parts).toArray, data))
+      assert(java.util.Arrays.equals(Frame.write(parts), data))
       for (i <- 0 until 3) {
-        val cut = Frame.write(parts.updated(i, parts(i).init)).toArray
+        val cut = Frame.write(parts.updated(i, parts(i).init))
         withClue(s"part $i cut: ")(intercept[IllegalArgumentException](codec.decompress(cut, b.precision, b.extent)))
       }
       // The first part's length one short, its last byte read as the next part's first.
@@ -186,7 +186,7 @@ object BitshuffleSpec {
     val parts = Frame.fixedRanges(raw.length, 65536).map { case (from, until) =>
       BytePathBitshuffle.encode(BytePathBitshuffle.Lz4, java.util.Arrays.copyOfRange(raw, from, until))
     }
-    val bytes = Frame.write(parts).toArray
+    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length, raw.length.toLong * 12, divergent = true))
   }
 }

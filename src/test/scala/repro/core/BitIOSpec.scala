@@ -107,6 +107,30 @@ class BitIOSpec extends SparkSpec with PropSupport {
       Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
     }, minTests = 300)
   }
+
+  test("a writer lets go of an array over the cap in toArray and fails loudly until restarted") {
+    val w = new BitWriter(16)
+    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    w.writeBits(5, 3)
+    w.writeAlignedBytes(big, 0, big.length)
+    assert(w.toArray.sameElements(0xa0.toByte +: big))
+    intercept[NullPointerException](w.toArray)
+    intercept[NullPointerException](w.writeBits(-1L, 64))
+    w.restart(4).writeBits(0xabcL, 12)
+    assert(w.toArray.toSeq == Seq(0xab.toByte, 0xc0.toByte))
+    assert(w.toArray.toSeq == Seq(0xab.toByte, 0xc0.toByte)) // a kept array stays readable
+  }
+
+  test("property: a restarted writer writes over its last stream the bytes a new writer writes") {
+    val kept = new BitWriter(4)
+    checkProp(Prop.forAllNoShrink(opsGen, Gen.choose(0, 200)) { (ops, capacity) =>
+      val fresh = new BitWriter(4)
+      kept.restart(capacity)
+      ops.foreach { op => applyOp(kept, op); applyOp(fresh, op) }
+      Prop.propBoolean(kept.toArray.sameElements(fresh.toArray) && kept.sizeBits == fresh.sizeBits) :|
+        s"capacity $capacity, ops $ops"
+    }, minTests = 300)
+  }
 }
 
 object BitIOSpec {
@@ -132,6 +156,13 @@ object BitIOSpec {
     } yield AlignedBytes(bytes.toArray, off, len)
     Gen.choose(0, 80).flatMap(k =>
       Gen.listOfN(k, Gen.frequency(10 -> bits, 4 -> bit, 1 -> Gen.const(Align), 1 -> aligned)))
+  }
+
+  def applyOp(w: BitWriter, op: Op): Unit = op match {
+    case Bits(v, n)                => w.writeBits(v, n)
+    case Bit(b)                    => w.writeBit(b)
+    case Align                     => w.align()
+    case AlignedBytes(b, off, len) => w.writeAlignedBytes(b, off, len)
   }
 
   /** Applies `ops` to a `BitWriter` and the oracle, comparing them after each. */

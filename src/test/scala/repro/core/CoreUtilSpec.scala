@@ -21,6 +21,18 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(b.size == 6)
   }
 
+  test("ByteBuf lets go of an array over the cap in toArray and fails loudly until restarted") {
+    val b = new ByteBuf(16)
+    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    b.write(big)
+    assert(b.toArray.sameElements(big))
+    intercept[NullPointerException](b.toArray)
+    intercept[NullPointerException](b.write(1))
+    b.restart(4).writeIntLE(0x04030201)
+    assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4))
+    assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4)) // a kept array stays readable
+  }
+
   test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
     val wordGen = for {
       n <- Gen.oneOf(1, 2, 4, 8)
@@ -42,9 +54,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   test("property: Frame.read returns the running sum of the lengths Frame.write stored") {
     val partsGen = Gen.listOf(Gen.choose(0, 300).map(n => Array.tabulate(n)(i => (i * 7 + n).toByte)))
     checkProp(Prop.forAll(partsGen, Gen.choose(0, 20)) { (parts, appended) =>
-      val out = Frame.write(parts)
-      (0 until appended).foreach(out.write)
-      val data    = out.toArray
+      val data    = Frame.write(parts, trailer = appended)
       val offsets = Frame.read(data, parts.length, parts.length)
       offsets.toSeq == parts.map(_.length).scanLeft(4 + 4 * parts.length)(_ + _) &&
         parts.indices.forall(i => data.slice(offsets(i), offsets(i + 1)).sameElements(parts(i))) &&
@@ -53,7 +63,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   }
 
   test("Frame.read rejects a count outside the accepted range or past the stream") {
-    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3))).toArray
+    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3)))
     assert(Frame.read(data, 1, 2).toSeq == Seq(12, 14, 15))
     intercept[IllegalArgumentException](Frame.read(data, 3, 3))
     intercept[IllegalArgumentException](Frame.read(data, 0, 1))

@@ -9,20 +9,22 @@ import repro.data.FcDatasets
 class HarnessSpec extends SparkSpec {
 
   test("measure() returns sane metrics on a CPU codec") {
-    val m = CompressionBench.measure(new Gorilla, TestInputs.smooth1dD(5000), "x", "HPC")
+    val row = CompressionBench.measure(new Gorilla, TestInputs.smooth1dD(5000), "x", "HPC")
+    val m   = row.roundtrip
     assert(m.origBytes == 5000L * 8)
-    assert(m.compBytes > 0 && m.compSec > 0 && m.decompSec > 0)
+    assert(m.compBytes > 0 && m.comp.kernel > 0 && m.decomp.kernel > 0)
     assert(m.cr > 0.5 && m.cr < 100)
-    assert(m.platform == "CPU")
-    assert(m.e2eCompSec == m.compSec, "CPU e2e == kernel time")
+    assert(row.platform == "CPU")
+    assert(m.comp.endToEnd == m.comp.kernel, "CPU e2e == kernel time")
   }
 
   test("measure() uses the GPU model for GPU codecs") {
     // large enough that kernel-launch overhead does not dominate the model
-    val m = CompressionBench.measure(CodecRegistry.byName("GFC"),
-                                     TestInputs.smooth1dD(1 << 20), "x", "HPC", iters = 1)
-    assert(m.platform == "GPU")
-    assert(m.e2eCompSec > m.compSec, "GPU e2e must include PCIe copies")
+    val row = CompressionBench.measure(CodecRegistry.byName("GFC"),
+                                       TestInputs.smooth1dD(1 << 20), "x", "HPC", iters = 1)
+    val m   = row.roundtrip
+    assert(row.platform == "GPU")
+    assert(m.comp.endToEnd > m.comp.kernel, "GPU e2e must include PCIe copies")
     // modeled kernel throughput must be in the >10 GB/s modeled GPU regime
     assert(m.ctGBps > 10, s"modeled GPU CT = ${m.ctGBps}")
   }
