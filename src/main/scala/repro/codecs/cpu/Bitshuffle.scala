@@ -4,7 +4,7 @@ import java.lang.invoke.MethodHandles
 import java.nio.ByteOrder
 
 import repro.core._
-import repro.lz.{Lz4Backend, ZstdBackend}
+import repro.lz.{Lz4Backend, LzBackend, ZstdBackend}
 
 /** Bitshuffle [Masui et al., 2015] — bit-level transpose + LZ4/zstd.
   *
@@ -12,19 +12,14 @@ import repro.lz.{Lz4Backend, ZstdBackend}
   * reference implementation's default), the chunk's bits are viewed as an
   * m x n matrix (m values of n bits) and transposed so that the i-th bits of
   * all values become consecutive bytes. The shuffled stream is then encoded
-  * per compression block by LZ4 or zstd. Blocks compress independently, so
-  * thread-level parallelism distributes blocks over a pool (Tables 7/8).
-  * Compression blocks are a fixed 64 KiB.
+  * per compression block by `backend`, LZ4 or zstd. Blocks compress
+  * independently, so thread-level parallelism distributes blocks over a pool
+  * (Tables 7/8). Compression blocks are a fixed 64 KiB.
   */
-abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
+abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends ThreadedCodec {
   import BitshuffleBase._
 
   override def platform: String = "CPU"
-
-  protected def encode(in: Array[Byte]): Array[Byte]
-
-  /** Decode `in(off until off + len)` into exactly the whole of `out`. */
-  protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit
 
   override def compress(block: FpBlock): Compressed = {
     val elemSize = block.precision.bytes
@@ -32,7 +27,7 @@ abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
     val parts = Parallel.map(Frame.fixedRanges(rawLen, BlockBytes), threads) { case (from, until) =>
       val shuffled = new Array[Byte](until - from)
       shuffle(block.bits, from / elemSize, shuffled, elemSize)
-      encode(shuffled)
+      backend.compress(shuffled)
     }
     val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(rawLen.toLong * 3, bytes.length,
@@ -49,7 +44,7 @@ abstract class BitshuffleBase(val threads: Int) extends ThreadedCodec {
     Parallel.map(ranges.indices, threads) { bi =>
       val (from, until) = ranges(bi)
       val shuffled = new Array[Byte](until - from)
-      decode(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled)
+      backend.decompress(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled, 0, shuffled.length)
       unshuffle(shuffled, bits, from / elemSize, elemSize)
     }
     Decompressed(FpBlock(precision, extent, bits),
@@ -144,14 +139,14 @@ object BitshuffleBase {
       val at = o + (e >> 3)
       var q = 0
       if (count < Group) {
-        while (q < words) { writeLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
+        while (q < words) { ByteBuf.writeWordLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
       } else {
         while (q < words) { LongLE.set(out, at + (q ^ 7) * w, group(q)); q += 1 }
       }
       e += Group
     }
     var i = mm
-    while (i < m) { writeLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
+    while (i < m) { ByteBuf.writeWordLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
   }
 
   /** The inverse of [[shuffleChunk]]. */
@@ -185,12 +180,6 @@ object BitshuffleBase {
     while (i < m) { bits(v0 + i) = ByteBuf.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
   }
 
-  /** The low `n` bytes of `x` at `out(p)`, least significant first. */
-  private def writeLE(out: Array[Byte], p: Int, x: Long, n: Int): Unit = {
-    var k = 0
-    while (k < n) { out(p + k) = (x >>> (k << 3)).toByte; k += 1 }
-  }
-
   private def readLE8(in: Array[Byte], p: Int): Long =
     (in(p) & 0xffL) | ((in(p + 1) & 0xffL) << 8) | ((in(p + 2) & 0xffL) << 16) | ((in(p + 3) & 0xffL) << 24) |
       ((in(p + 4) & 0xffL) << 32) | ((in(p + 5) & 0xffL) << 40) | ((in(p + 6) & 0xffL) << 48) |
@@ -199,20 +188,14 @@ object BitshuffleBase {
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */
 final class BitshuffleLz4(threads: Int = Runtime.getRuntime.availableProcessors())
-    extends BitshuffleBase(threads) {
+    extends BitshuffleBase(threads, Lz4Backend) {
   override def name: String = "shf+LZ4"
   override def withThreads(t: Int): Codec = new BitshuffleLz4(t)
-  override protected def encode(in: Array[Byte]): Array[Byte] = Lz4Backend.compress(in)
-  override protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit =
-    Lz4Backend.decompress(in, off, len, out, 0, out.length)
 }
 
 /** bitshuffle::zstd — the shuffled stream encoded with zstd. */
 final class BitshuffleZstd(threads: Int = Runtime.getRuntime.availableProcessors())
-    extends BitshuffleBase(threads) {
+    extends BitshuffleBase(threads, ZstdBackend) {
   override def name: String = "shf+zstd"
   override def withThreads(t: Int): Codec = new BitshuffleZstd(t)
-  override protected def encode(in: Array[Byte]): Array[Byte] = ZstdBackend.compress(in)
-  override protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte]): Unit =
-    ZstdBackend.decompress(in, off, len, out, 0, out.length)
 }

@@ -49,12 +49,12 @@ final class Chimp extends Codec {
         var viaTable = false
         if (i - indices(key) <= PrevValues && indices(key) >= 0) {
           val cand = indices(key) % PrevValues
-          val xorC = (v ^ stored(cand)) & mask(w)
+          val xorC = (v ^ stored(cand)) & Words.mask(w)
           if (xorC == 0 || java.lang.Long.numberOfTrailingZeros(xorC) > TrailThreshold) {
             refIdx = cand; viaTable = true
           }
         }
-        val xor = (v ^ stored(refIdx)) & mask(w)
+        val xor = (v ^ stored(refIdx)) & Words.mask(w)
         if (viaTable) {
           if (xor == 0) {
             out.writeBits(refIdx.toLong, 2 + PrevLog2) // 00, index
@@ -120,15 +120,13 @@ final class Chimp extends Codec {
             storedLz = LeadBuckets(in.readBits(3).toInt)
             stored((i - 1) % PrevValues) ^ in.readBits(w - storedLz)
         }
-      vals(i) = v & mask(w)
+      vals(i) = v & Words.mask(w)
       stored(i % PrevValues) = vals(i)
       i += 1
     }
     Decompressed(FpBlock(precision, extent, vals),
                  WorkProfile(data.length, n.toLong * precision.bytes, n.toLong * 12, divergent = false))
   }
-
-  private def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
 }
 
 object Chimp {

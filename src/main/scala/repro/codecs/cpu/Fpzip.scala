@@ -15,8 +15,8 @@ import repro.core._
   *    equivalent of fpzip's fast range coder over sign + leading zeros.
   * 4. Copy the remaining significant bits verbatim.
   *
-  * fpzip is a serial method; no thread parallelism is used. Its three
-  * writers, all live at once, are each kept per thread across calls (see
+  * fpzip is a serial method; no thread parallelism is used. Its two
+  * writers, both live at once, are each kept per thread across calls (see
   * [[repro.core.KeptArray]]).
   */
 final class Fpzip extends Codec {
@@ -40,7 +40,7 @@ final class Fpzip extends Codec {
     while (i < mapped.length) {
       val pred = lorenzo.predict(mapped, i)
       // Wrap the residual to w bits and sign-extend so zigzag stays in w bits.
-      val diff = (mapped(i) - pred) & mask(w)
+      val diff = (mapped(i) - pred) & Words.mask(w)
       val r    = if (w == 64) diff else (diff << (64 - w)) >> (64 - w)
       val z    = (r << 1) ^ (r >> 63) // zigzag; fits in w bits (64-bit wraps)
       val sym  = 64 - java.lang.Long.numberOfLeadingZeros(z) // magnitude class 0..w
@@ -50,11 +50,10 @@ final class Fpzip extends Codec {
     }
     val symBytes = enc.finish()
     val rawBytes = raw.toArray
-    val out      = kept.frame.restart(symBytes.length + rawBytes.length + 8)
-    out.writeIntLE(symBytes.length)
-    out.write(symBytes)
-    out.write(rawBytes)
-    val bytes = out.toArray
+    val bytes    = new Array[Byte](4 + symBytes.length + rawBytes.length)
+    ByteBuf.writeWordLE(bytes, 0, symBytes.length, 4)
+    System.arraycopy(symBytes, 0, bytes, 4, symBytes.length)
+    System.arraycopy(rawBytes, 0, bytes, 4 + symBytes.length, rawBytes.length)
     Compressed(bytes, WorkProfile(block.sizeBytes, bytes.length,
                                   block.n.toLong * 40, divergent = false))
   }
@@ -80,7 +79,7 @@ final class Fpzip extends Codec {
         else (1L << (sym - 1)) | raw.readBits(sym - 1)
       val r    = (z >>> 1) ^ -(z & 1) // un-zigzag
       val pred = lorenzo.predict(mapped, i)
-      mapped(i) = (pred + r) & mask(w)
+      mapped(i) = (pred + r) & Words.mask(w)
       i += 1
     }
     i = 0
@@ -93,26 +92,23 @@ final class Fpzip extends Codec {
   /** Order-preserving sign-magnitude map of a w-bit IEEE pattern (as Long). */
   private def mapOrdered(bits: Long, w: Int): Long = {
     val sign = 1L << (w - 1)
-    if ((bits & sign) != 0) (~bits) & mask(w) else bits | sign
+    if ((bits & sign) != 0) (~bits) & Words.mask(w) else bits | sign
   }
 
   private def unmapOrdered(m: Long, w: Int): Long = {
     val sign = 1L << (w - 1)
-    val mm   = m & mask(w)
-    if ((mm & sign) != 0) mm & ~sign & mask(w) else (~mm) & mask(w)
+    val mm   = m & Words.mask(w)
+    if ((mm & sign) != 0) mm & ~sign & Words.mask(w) else (~mm) & Words.mask(w)
   }
-
-  private def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
 }
 
 object Fpzip {
-  /** One thread's writers: the range-coded symbols, the verbatim bits and
-    * the stream that joins them.
+  /** One thread's writers: the range-coded symbols and the verbatim bits.
+    * The stream joins their bytes behind the symbols' 4-byte length.
     */
   private final class Writers {
     val symbols = new ByteBuf
     val raw     = new BitWriter
-    val frame   = new ByteBuf
   }
 
   private val writers = ThreadLocal.withInitial[Writers](() => new Writers)

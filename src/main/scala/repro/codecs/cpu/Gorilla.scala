@@ -41,7 +41,7 @@ final class Gorilla extends Codec {
       if (i == 0) {
         out.writeBits(v, w)
       } else {
-        val xor = (v ^ prev) & mask(w)
+        val xor = (v ^ prev) & Words.mask(w)
         if (xor == 0) out.writeBit(0)
         else {
           val lz = math.min(leadingZeros(xor, w), 31)
@@ -91,7 +91,7 @@ final class Gorilla extends Codec {
           prevLz = lz; prevTz = tz
           prev ^ (in.readBits(len) << tz)
         }
-      vals(i) = v & mask(w)
+      vals(i) = v & Words.mask(w)
       prev = vals(i)
       i += 1
     }
@@ -99,7 +99,6 @@ final class Gorilla extends Codec {
                  WorkProfile(data.length, n.toLong * precision.bytes, n.toLong * 10, divergent = false))
   }
 
-  private def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
 
   private def leadingZeros(x: Long, w: Int): Int =
     java.lang.Long.numberOfLeadingZeros(x) - (64 - w)

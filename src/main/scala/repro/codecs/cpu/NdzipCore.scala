@@ -31,8 +31,6 @@ object NdzipCore {
     case _ => 16
   }
 
-  def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
-
   // ------------------------------------------------------------- tiling ----
 
   /** Grid geometry: extents, tile counts per dim, and the aligned bounds. */
@@ -118,7 +116,7 @@ object NdzipCore {
     * difference to the one `stride` before it.
     */
   def forwardLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
-    val m = mask(w)
+    val m = Words.mask(w)
     var d = 0
     while (d < dims) {
       val stride = pow(side, dims - 1 - d)
@@ -134,7 +132,7 @@ object NdzipCore {
   }
 
   def inverseLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
-    val m = mask(w)
+    val m = Words.mask(w)
     var d = dims - 1
     while (d >= 0) {
       val stride = pow(side, dims - 1 - d)
@@ -191,18 +189,14 @@ object NdzipCore {
 
   // ------------------------------------------------------------ pipeline ---
 
-  /** Compress one gathered 4096-element tile. Residuals are sign-rotated
+  /** Compress one gathered 4096-element tile in place. Residuals are sign-rotated
     * (zigzag) after the Lorenzo transform: a small *negative* residual is
     * otherwise all-ones in its top bits under two's complement, which would
     * defeat the zero-word elimination after transposition.
     */
-  def compressBlock(tile: Array[Long], dims: Int, w: Int): Array[Byte] =
-    compressTile(java.util.Arrays.copyOf(tile, tile.length), dims, w)
-
-  /** [[compressBlock]] that overwrites `work` instead of copying it. */
   private def compressTile(work: Array[Long], dims: Int, w: Int): Array[Byte] = {
     forwardLorenzo(work, dims, sideFor(dims), w)
-    val m = mask(w)
+    val m = Words.mask(w)
     var i = 0
     while (i < work.length) {
       val rs = if (w == 64) work(i) else (work(i) << (64 - w)) >> (64 - w)
@@ -214,7 +208,7 @@ object NdzipCore {
 
   def decompressBlock(data: Array[Byte], off: Int, dims: Int, w: Int): (Array[Long], Int) = {
     val (work, consumed) = decodeResiduals(data, off, w)
-    val m = mask(w)
+    val m = Words.mask(w)
     var i = 0
     while (i < work.length) {
       val z = work(i)

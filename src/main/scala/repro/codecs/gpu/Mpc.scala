@@ -1,7 +1,6 @@
 package repro.codecs.gpu
 
 import repro.core._
-import repro.codecs.cpu.NdzipCore
 
 /** MPC [Yang et al., Cluster'15] — Massively Parallel Compression, a
   * synthesized four-component pipeline over 1024-element chunks:
@@ -26,7 +25,7 @@ final class Mpc extends Codec {
   override def compress(block: FpBlock): Compressed = {
     val w      = block.precision.bits
     val bytes  = block.precision.bytes
-    val m      = NdzipCore.mask(w)
+    val m      = Words.mask(w)
     val vals   = block.bits
     val out    = new ByteBuf(vals.length * bytes / 2 + 64)
     val r1     = new Array[Long](Chunk)
@@ -68,7 +67,7 @@ final class Mpc extends Codec {
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val w      = precision.bits
-    val m      = NdzipCore.mask(w)
+    val m      = Words.mask(w)
     val bytes  = precision.bytes
     val n      = extent.product.toInt
     val vals   = new Array[Long](n)

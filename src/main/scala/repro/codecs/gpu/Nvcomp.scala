@@ -76,7 +76,7 @@ final class NvBitcomp extends Codec {
       var i = 0
       while (i < len) {
         val d  = if (i == 0) 0L
-                 else maskW(vals(base + i) - vals(base + i - 1), w)
+                 else (vals(base + i) - vals(base + i - 1)) & Words.mask(w)
         val ds = signExtend(d, w)
         zz(i) = (ds << 1) ^ (ds >> 63)
         val bitsNeeded = 64 - java.lang.Long.numberOfLeadingZeros(zz(i))
@@ -110,7 +110,7 @@ final class NvBitcomp extends Codec {
       while (i < len) {
         val z  = in.readBits(width)
         val ds = (z >>> 1) ^ -(z & 1)
-        vals(base + i) = maskW(vals(base + i - 1) + ds, w)
+        vals(base + i) = (vals(base + i - 1) + ds) & Words.mask(w)
         i += 1
       }
       base += len
@@ -120,7 +120,6 @@ final class NvBitcomp extends Codec {
                              n.toLong * precision.bytes, n.toLong * 3, divergent = false))
   }
 
-  private def maskW(v: Long, w: Int): Long = if (w == 64) v else v & ((1L << w) - 1)
   private def signExtend(v: Long, w: Int): Long = if (w == 64) v else (v << (64 - w)) >> (64 - w)
 }
 

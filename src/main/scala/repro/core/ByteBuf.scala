@@ -31,15 +31,11 @@ final class ByteBuf(initialCapacity: Int = 1024) {
 
   def write(b: Int): Unit = { ensure(1); buf(len) = b.toByte; len += 1 }
 
-  def write(bytes: Array[Byte]): Unit = write(bytes, 0, bytes.length)
-
   def write(bytes: Array[Byte], off: Int, n: Int): Unit = {
     ensure(n)
     System.arraycopy(bytes, off, buf, len, n)
     len += n
   }
-
-  def writeIntLE(v: Int): Unit = writeWordLE(v, 4)
 
   /** The low `nBytes` bytes of `v`, least significant first. */
   def writeWordLE(v: Long, nBytes: Int): Unit = {

@@ -5,12 +5,6 @@ sealed abstract class Precision(val bytes: Int, val bits: Int, val tag: String)
 object Precision {
   case object Single extends Precision(4, 32, "S")
   case object Double extends Precision(8, 64, "D")
-
-  def fromTag(tag: String): Precision = tag match {
-    case "S" => Single
-    case "D" => Double
-    case other => throw new IllegalArgumentException(s"unknown precision tag: $other")
-  }
 }
 
 /** A block of floating-point values handed to a codec.

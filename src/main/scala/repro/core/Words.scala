@@ -34,9 +34,6 @@ object Words {
     }
   }
 
-  /** Number of words a block of `n` values at `precision` packs into. */
-  def countFor(n: Int, precision: Precision): Int = precision match {
-    case Precision.Double => n
-    case Precision.Single => (n + 1) / 2
-  }
+  /** The low `w` bits set, the value mask of a `w`-bit pattern (1 <= w <= 64). */
+  def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
 }

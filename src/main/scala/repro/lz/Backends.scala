@@ -7,42 +7,49 @@ import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdExce
 
 import repro.core.KeptArray
 
-/** LZ4 block codec via lz4-java (already on the Spark classpath).
+/** A dictionary coder behind bitshuffle and nvCOMP::LZ4: one shell for both
+  * libraries. The shell owns what the two share: the worst-case output
+  * buffer, kept per thread across calls (see [[repro.core.KeptArray]]), the
+  * exact-size copy each part leaves as, and the decode contract. A back end
+  * supplies only its library's calls.
   *
-  * Used by bitshuffle::LZ4 and the nvCOMP::LZ4 substitute. We use the fast
-  * compressor — bitshuffle's C binding does the same — so compression and
-  * decompression throughput stay in the paper's observed balance. Decoding
-  * uses the safe decompressor, which is bounded by the part's length.
-  *
-  * The worst-case output buffer is per thread and reused across calls (see
-  * [[repro.core.KeptArray]]); each block leaves as an exact-size copy.
+  * Back ends are objects, so a codec holding one serializes as a reference
+  * to it and never carries a thread's buffer or context.
   */
-object Lz4Backend {
-  private val factory = LZ4Factory.fastestJavaInstance()
-
+sealed abstract class LzBackend(name: String) extends Serializable {
   private val output = KeptArray.perThread[Byte](1)
 
-  /** The LZ4 block of `in(off until off + len)`. */
+  /** The most bytes [[encode]] writes for `len` input bytes. */
+  protected def bound(len: Int): Int
+
+  /** Code `in(off until off + len)` into `out(0 until max)`; the bytes written. */
+  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int
+
+  /** Decode `in(off until off + len)` into `out(outOff until outOff + outLen)`;
+    * the bytes decoded. A malformed part raises [[malformed]].
+    */
+  protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int
+
+  protected final def malformed(len: Int, cause: Throwable): Nothing =
+    throw new IllegalArgumentException(s"bad $name part of $len bytes", cause)
+
+  /** The coded part of `in(off until off + len)`. */
   def compress(in: Array[Byte], off: Int, len: Int): Array[Byte] = {
-    val c   = factory.fastCompressor()
-    val max = c.maxCompressedLength(len)
+    val max = bound(len)
     val buf = output.get.atLeast(max)
-    val n   = c.compress(in, off, len, buf, 0, max)
-    java.util.Arrays.copyOf(buf, n)
+    java.util.Arrays.copyOf(buf, encode(in, off, len, buf, max))
   }
 
   def compress(in: Array[Byte]): Array[Byte] = compress(in, 0, in.length)
 
-  /** Decode the LZ4 block `in(off until off + len)` into
-    * `out(outOff until outOff + outLen)`. A block that is malformed, or that
+  /** Decode the part `in(off until off + len)` into
+    * `out(outOff until outOff + outLen)`. A part that is malformed, or that
     * decodes to more or fewer than `outLen` bytes, raises
     * `IllegalArgumentException`.
     */
   def decompress(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Unit = {
-    val n =
-      try factory.safeDecompressor().decompress(in, off, len, out, outOff, outLen)
-      catch { case e: LZ4Exception => throw new IllegalArgumentException(s"bad LZ4 part of $len bytes", e) }
-    if (n != outLen) throw new IllegalArgumentException(s"LZ4 part decoded to $n bytes where $outLen were expected")
+    val n = decode(in, off, len, out, outOff, outLen)
+    if (n != outLen) throw new IllegalArgumentException(s"$name part decoded to $n bytes where $outLen were expected")
   }
 
   def decompress(in: Array[Byte], outLen: Int): Array[Byte] = {
@@ -50,6 +57,28 @@ object Lz4Backend {
     decompress(in, 0, in.length, out, 0, outLen)
     out
   }
+}
+
+/** LZ4 block codec via lz4-java (already on the Spark classpath).
+  *
+  * Used by bitshuffle::LZ4 and the nvCOMP::LZ4 substitute. We use the fast
+  * compressor — bitshuffle's C binding does the same — so compression and
+  * decompression throughput stay in the paper's observed balance. Decoding
+  * uses the safe decompressor, which is bounded by the part's length.
+  */
+object Lz4Backend extends LzBackend("LZ4") {
+  private val factory      = LZ4Factory.fastestJavaInstance()
+  private val compressor   = factory.fastCompressor()
+  private val decompressor = factory.safeDecompressor()
+
+  protected def bound(len: Int): Int = compressor.maxCompressedLength(len)
+
+  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int =
+    compressor.compress(in, off, len, out, 0, max)
+
+  protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
+    try decompressor.decompress(in, off, len, out, outOff, outLen)
+    catch { case e: LZ4Exception => malformed(len, e) }
 }
 
 /** zstd block codec via zstd-jni (already on the Spark classpath).
@@ -64,11 +93,9 @@ object Lz4Backend {
   * behind a `ThreadLocal`, never in a codec field, because a codec is
   * `Serializable` and shared by every thread that calls it. zstd starts every
   * frame from the context's parameters, so reuse changes no output, and a
-  * call that fails leaves nothing behind for the next one. The worst-case
-  * output buffer is kept per thread in the same way (see
-  * [[repro.core.KeptArray]]).
+  * call that fails leaves nothing behind for the next one.
   */
-object ZstdBackend {
+object ZstdBackend extends LzBackend("zstd") {
   val Level = 3
 
   private final class Contexts {
@@ -88,33 +115,12 @@ object ZstdBackend {
     ctx
   }
 
-  private val output = KeptArray.perThread[Byte](1)
+  protected def bound(len: Int): Int = Zstd.compressBound(len.toLong).toInt
 
-  /** The zstd frame of `in(off until off + len)`. */
-  def compress(in: Array[Byte], off: Int, len: Int): Array[Byte] = {
-    val max = Zstd.compressBound(len.toLong).toInt
-    val buf = output.get.atLeast(max)
-    val n   = contexts.get.compress.compressByteArray(buf, 0, max, in, off, len)
-    java.util.Arrays.copyOf(buf, n)
-  }
+  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int =
+    contexts.get.compress.compressByteArray(out, 0, max, in, off, len)
 
-  def compress(in: Array[Byte]): Array[Byte] = compress(in, 0, in.length)
-
-  /** Decode the zstd frame `in(off until off + len)` into
-    * `out(outOff until outOff + outLen)`. A frame that is malformed, or that
-    * decodes to more or fewer than `outLen` bytes, raises
-    * `IllegalArgumentException`.
-    */
-  def decompress(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Unit = {
-    val n =
-      try contexts.get.decompress.decompressByteArray(out, outOff, outLen, in, off, len)
-      catch { case e: ZstdException => throw new IllegalArgumentException(s"bad zstd part of $len bytes", e) }
-    if (n != outLen) throw new IllegalArgumentException(s"zstd part decoded to $n bytes where $outLen were expected")
-  }
-
-  def decompress(in: Array[Byte], outLen: Int): Array[Byte] = {
-    val out = new Array[Byte](outLen)
-    decompress(in, 0, in.length, out, 0, outLen)
-    out
-  }
+  protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
+    try contexts.get.decompress.decompressByteArray(out, outOff, outLen, in, off, len)
+    catch { case e: ZstdException => malformed(len, e) }
 }

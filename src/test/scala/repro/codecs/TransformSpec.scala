@@ -1,7 +1,7 @@
 package repro.codecs
 
 import repro.SparkSpec
-import repro.core.{BitTranspose, Precision}
+import repro.core.{BitTranspose, Frame, FpBlock, Precision}
 import repro.codecs.cpu.NdzipCore
 
 /** Inverse-pair tests for the internal transforms the codecs are built on. */
@@ -68,11 +68,14 @@ class TransformSpec extends SparkSpec {
 
   test("ndzip block roundtrip via compress/decompressBlock") {
     val rng  = new scala.util.Random(9)
-    val vals = Array.fill(NdzipCore.BlockElems)(rng.nextLong())
-    val enc  = NdzipCore.compressBlock(vals, 3, 64)
-    val (out, used) = NdzipCore.decompressBlock(enc, 0, 3, 64)
-    assert(used == enc.length)
-    assert(out.sameElements(vals))
+    val tile = FpBlock(Precision.Double, Seq(16L, 16L, 16L), Array.fill(NdzipCore.BlockElems)(rng.nextLong()))
+    val enc  = NdzipCore.compress(tile, 1).bytes
+    val offs = Frame.read(enc, 1, 1)
+    assert(offs(1) == enc.length, "a whole 16x16x16 tile leaves no border")
+    val (out, used) = NdzipCore.decompressBlock(enc, offs(0), 3, 64)
+    assert(used == offs(1) - offs(0))
+    assert(out.sameElements(tile.bits))
+    assert(NdzipCore.decompress(enc, Precision.Double, tile.extent, 1).block.bits.sameElements(tile.bits))
   }
 
   test("ndzip tiles the true extent: aligned 3D cube beats misaligned flat scan") {

@@ -102,18 +102,21 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
   test("a zstd decode that throws leaves the thread's contexts usable for the next call") {
     val rng   = new scala.util.Random(11)
     val in    = Array.tabulate(65536)(i => if (rng.nextInt(3) == 0) rng.nextInt().toByte else (i >> 7).toByte)
-    val frame = ZstdBackend.compress(in)
     val out   = new Array[Byte](in.length)
-    val bad = Seq(
-      "cut mid-frame"  -> (() => ZstdBackend.decompress(frame, 0, frame.length / 2, out, 0, in.length)),
-      "too small"      -> (() => ZstdBackend.decompress(frame, 0, frame.length, out, 0, in.length - 1)),
-      "corrupt header" -> (() => ZstdBackend.decompress(Array.fill[Byte](64)(0x55), 0, 64, out, 0, in.length)))
-    for ((what, call) <- bad) {
-      intercept[IllegalArgumentException](call())
-      java.util.Arrays.fill(out, 0.toByte)
-      ZstdBackend.decompress(frame, 0, frame.length, out, 0, in.length)
-      assert(java.util.Arrays.equals(out, in), s"decode after a $what failure")
-      assert(java.util.Arrays.equals(ZstdBackend.compress(in), frame), s"encode after a $what failure")
+    // The contract lives in LzBackend, so LZ4 runs through the same table.
+    for ((name, backend) <- Seq("LZ4" -> Lz4Backend, "zstd" -> ZstdBackend)) {
+      val frame = backend.compress(in)
+      val bad = Seq(
+        "cut mid-frame"  -> (() => backend.decompress(frame, 0, frame.length / 2, out, 0, in.length)),
+        "too small"      -> (() => backend.decompress(frame, 0, frame.length, out, 0, in.length - 1)),
+        "corrupt header" -> (() => backend.decompress(Array.fill[Byte](64)(0x55), 0, 64, out, 0, in.length)))
+      for ((what, call) <- bad) {
+        withClue(s"$name $what: ")(intercept[IllegalArgumentException](call()))
+        java.util.Arrays.fill(out, 0.toByte)
+        backend.decompress(frame, 0, frame.length, out, 0, in.length)
+        assert(java.util.Arrays.equals(out, in), s"$name decode after a $what failure")
+        assert(java.util.Arrays.equals(backend.compress(in), frame), s"$name encode after a $what failure")
+      }
     }
   }
 

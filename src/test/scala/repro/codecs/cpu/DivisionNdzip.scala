@@ -1,5 +1,7 @@
 package repro.codecs.cpu
 
+import repro.core.Words
+
 /** The ndzip transforms and border test that divided per element, kept as
   * the oracle the span-block Lorenzo loops and [[NdzipCore.borderRuns]] must
   * match (see [[NdzipSpec]]).
@@ -8,7 +10,7 @@ object DivisionNdzip {
   private def pow(b: Int, e: Int): Int = { var r = 1; var i = 0; while (i < e) { r *= b; i += 1 }; r }
 
   def forwardLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
-    val m = NdzipCore.mask(w)
+    val m = Words.mask(w)
     var d = 0
     while (d < dims) {
       val stride = pow(side, dims - 1 - d)
@@ -22,7 +24,7 @@ object DivisionNdzip {
   }
 
   def inverseLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
-    val m = NdzipCore.mask(w)
+    val m = Words.mask(w)
     var d = dims - 1
     while (d >= 0) {
       val stride = pow(side, dims - 1 - d)

@@ -2,7 +2,7 @@ package repro.codecs.cpu
 
 import repro.{PropSupport, SparkSpec}
 import repro.codecs.gpu.NdzipGpu
-import repro.core.{FpBlock, Precision}
+import repro.core.{FpBlock, Precision, Words}
 import org.scalacheck.{Gen, Prop}
 
 /** ndzip's span-block Lorenzo loops and border runs against the
@@ -18,7 +18,7 @@ class NdzipSpec extends SparkSpec with PropSupport {
     } yield (dims, w, seed)
     checkProp(Prop.forAllNoShrink(gen) { case (dims, w, seed) =>
       val rng  = new scala.util.Random(seed)
-      val m    = NdzipCore.mask(w)
+      val m    = Words.mask(w)
       val side = NdzipCore.sideFor(dims)
       val in   = Array.fill(NdzipCore.BlockElems)(rng.nextLong() & m)
       val fwd  = in.clone(); NdzipCore.forwardLorenzo(fwd, dims, side, w)

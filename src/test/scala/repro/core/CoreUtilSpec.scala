@@ -13,9 +13,9 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert((0 until 1000).forall(i => (a(i) & 0xff) == (i & 0xff)))
   }
 
-  test("ByteBuf bulk writes and writeIntLE") {
+  test("ByteBuf bulk writes and a 4-byte writeWordLE") {
     val b = new ByteBuf()
-    b.writeIntLE(0x04030201)
+    b.writeWordLE(0x04030201, 4)
     b.write(Array[Byte](9, 8, 7), 1, 2)
     assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4, 8, 7))
     assert(b.size == 6)
@@ -24,11 +24,11 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   test("ByteBuf lets go of an array over the cap in toArray and fails loudly until restarted") {
     val b = new ByteBuf(16)
     val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
-    b.write(big)
+    b.write(big, 0, big.length)
     assert(b.toArray.sameElements(big))
     intercept[NullPointerException](b.toArray)
     intercept[NullPointerException](b.write(1))
-    b.restart(4).writeIntLE(0x04030201)
+    b.restart(4).writeWordLE(0x04030201, 4)
     assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4))
     assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4)) // a kept array stays readable
   }
@@ -102,12 +102,6 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(back.bits.sameElements(blk.bits))
   }
 
-  test("Words.countFor") {
-    assert(Words.countFor(5, Precision.Double) == 5)
-    assert(Words.countFor(5, Precision.Single) == 3)
-    assert(Words.countFor(4, Precision.Single) == 2)
-  }
-
   test("property: Words pack/unpack roundtrips single precision") {
     val gen = Gen.listOf(Gen.choose(0L, 0xffffffffL)).suchThat(_.nonEmpty)
     checkProp(Prop.forAll(gen) { xs =>
@@ -163,12 +157,6 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     intercept[IllegalArgumentException] {
       FpBlock(Precision.Double, Seq(5L), new Array[Long](4))
     }
-  }
-
-  test("Precision.fromTag") {
-    assert(Precision.fromTag("S") == Precision.Single)
-    assert(Precision.fromTag("D") == Precision.Double)
-    intercept[IllegalArgumentException](Precision.fromTag("Q"))
   }
 
   test("Parallel.map preserves order and runs all items") {
