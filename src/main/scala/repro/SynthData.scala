@@ -4,31 +4,30 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
-/** Synthetic TPC-H-style columns at a configurable scale factor: the four
-  * numeric `lineitem` columns and `orders.o_totalprice`, the inputs of the
-  * `tpcH-lineitem` and `tpcH-order` datasets.
+/** Synthetic TPC-H-style columns: the four numeric `lineitem` columns and
+  * `orders.o_totalprice`, the inputs of the `tpcH-lineitem` and `tpcH-order`
+  * datasets. Each takes its row count; TPC-H SF1 has 6 000 000 lineitem and
+  * 1 500 000 orders rows.
   *
-  * SF=1.0 has TPC-H SF1's row counts. Tests use SF<=0.01; benchmarks use
-  * SF~=0.1. Each column draws from its own `rand(seed + k)`, so a column's
-  * values do not depend on which other columns are generated.
+  * Each column draws from its own `rand(k)`, so a column's values do not
+  * depend on which other columns are generated.
   */
 object SynthData {
-  private val NLineitemPerSf = 6_000_000L
-  private val NOrdersPerSf   = 1_500_000L
 
-  private def n(base: Long, sf: Double): Long = math.max(1L, (base * sf).toLong)
-
-  def lineitem(spark: SparkSession, sf: Double = 0.01, seed: Long = 0): DataFrame =
-    spark.range(n(NLineitemPerSf, sf)).select(
-      (rand(seed + 3) * 50 + 1).cast(DoubleType)       as "l_quantity",
-      round(rand(seed + 4) * 90000 + 900, 2)           as "l_extendedprice",
-      round(rand(seed + 5) * 0.10, 2)                  as "l_discount",
-      round(rand(seed + 6) * 0.08, 2)                  as "l_tax",
+  /** `rows` lineitem rows, with the range's row id as `id`. */
+  def lineitem(spark: SparkSession, rows: Long): DataFrame =
+    spark.range(rows).select(
+      col("id"),
+      (rand(3) * 50 + 1).cast(DoubleType)       as "l_quantity",
+      round(rand(4) * 90000 + 900, 2)           as "l_extendedprice",
+      round(rand(5) * 0.10, 2)                  as "l_discount",
+      round(rand(6) * 0.08, 2)                  as "l_tax",
     )
 
-  def orders(spark: SparkSession, sf: Double = 0.01, seed: Long = 1): DataFrame =
-    spark.range(1, n(NOrdersPerSf, sf) + 1).toDF("o_orderkey").select(
+  /** `rows` orders rows, keyed 1..rows. */
+  def orders(spark: SparkSession, rows: Long): DataFrame =
+    spark.range(1, rows + 1).toDF("o_orderkey").select(
       col("o_orderkey"),
-      round(rand(seed + 2) * 500000 + 1000, 2)                 as "o_totalprice",
+      round(rand(3) * 500000 + 1000, 2)                 as "o_totalprice",
     )
 }

@@ -8,8 +8,7 @@ import repro.core._
   * into integer and fractional parts, the fraction is kept to the bit budget
   * of the target decimal precision (Table 2 of the paper), values are stored
   * as fixed-point deltas from the block minimum, padded to whole bytes, and
-  * laid out byte-plane by byte-plane ("sub-columns") so predicates can be
-  * evaluated on compressed data one byte plane at a time.
+  * laid out byte-plane by byte-plane ("sub-columns").
   *
   * Losslessness: the encoder *detects* the minimal decimal precision p such
   * that every value round-trips bit-exactly (p <= 10). If none exists — the
@@ -101,47 +100,6 @@ final class Buff extends Codec {
       }
       Decompressed(FpBlock(precision, extent, bits), work)
     }
-  }
-
-  /** Count of values <= threshold, evaluated on the compressed byte planes
-    * without materializing the floats (BUFF's byte-column query). Planes are
-    * compared most-significant first; a record is disqualified as soon as a
-    * higher plane decides.
-    */
-  def scanLessEqual(data: Array[Byte], n: Int, threshold: Double): Long = {
-    require(data(0) == 1, "scan on compressed data requires packed mode")
-    val p         = data(1).toInt
-    val m         = data(2).toInt
-    val totalBits = data(3).toInt
-    val nBytes    = (totalBits + 7) / 8
-    var qmin      = 0L
-    var k = 0
-    while (k < 8) { qmin |= (data(4 + k) & 0xffL) << (8 * k); k += 1 }
-    // Largest quantized step whose dequantized value still satisfies the
-    // predicate — exact because dequantize is monotone in q.
-    val quant = new Quantizer(m, p)
-    var qt = math.rint(threshold * (1L << m)).toLong
-    while (quant.dequantize(qt) > threshold) qt -= 1
-    while (quant.dequantize(qt + 1) <= threshold) qt += 1
-    val qThr = qt - qmin
-    if (qThr < 0) return 0L
-    if (qThr >= (1L << math.min(62, 8 * nBytes))) return n.toLong // all deltas fit nBytes
-    var count = 0L
-    var i = 0
-    while (i < n) {
-      var decided = false
-      var le      = true
-      var b       = nBytes - 1
-      while (b >= 0 && !decided) {
-        val dv = data(12 + b * n + i) & 0xff
-        val tv = ((qThr >>> (8 * b)) & 0xff).toInt
-        if (dv != tv) { le = dv < tv; decided = true }
-        b -= 1
-      }
-      if (le) count += 1
-      i += 1
-    }
-    count
   }
 
   /** Find the smallest decimal precision p (0..10) such that quantizing every

@@ -78,14 +78,6 @@ final class BitWriter(initialCapacity: Int = 1024) {
 
   def writeBit(b: Int): Unit = put(b.toLong, 1)
 
-  /** Byte-align then append raw bytes verbatim. */
-  def writeAlignedBytes(bytes: Array[Byte], off: Int, len: Int): Unit = {
-    align()
-    ensure(len)
-    System.arraycopy(bytes, off, buf, bytePos, len)
-    bytePos += len
-  }
-
   /** Pad with zero bits to the next byte boundary. */
   def align(): Unit = if (pending != 0) {
     ensure(1)
@@ -170,20 +162,6 @@ final class BitReader(buf: Array[Byte], startByte: Int = 0) {
   }
 
   def readBit(): Int = take(1).toInt
-
-  /** Byte-align then copy `len` raw bytes. */
-  def readAlignedBytes(len: Int): Array[Byte] = {
-    align()
-    val pos = bytePosition
-    if (len > buf.length - pos)
-      throw new ArrayIndexOutOfBoundsException(
-        s"$len aligned bytes at $pos run past the end of a ${buf.length}-byte stream")
-    val out = Arrays.copyOfRange(buf, pos, pos + len)
-    nextByte = pos + len
-    window = 0L
-    avail = 0
-    out
-  }
 
   def align(): Unit = {
     val r = avail & 7

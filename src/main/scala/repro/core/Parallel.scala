@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, ConcurrentHashMap, Executors, ExecutorService, ThreadFactory}
+import java.util.concurrent.{Callable, ConcurrentHashMap, ExecutionException, Executors, ExecutorService, ThreadFactory}
 import scala.jdk.CollectionConverters._
 
 /** Fixed-width fork/join over independent work items.
@@ -24,11 +24,15 @@ object Parallel {
         }
       }))
 
+  /** `items.map(f)` on `threads` pool threads. A failed item raises its own
+    * exception, as it would on one thread, not the pool's wrapper.
+    */
   def map[A, B](items: IndexedSeq[A], threads: Int)(f: A => B): IndexedSeq[B] = {
     require(threads >= 1, s"bad thread count: $threads")
     if (threads == 1 || items.size <= 1) return items.map(f)
     val tasks = items.map(a => new Callable[B] { def call(): B = f(a) })
-    poolFor(threads).invokeAll(tasks.asJava).asScala.map(_.get()).toIndexedSeq
+    try poolFor(threads).invokeAll(tasks.asJava).asScala.map(_.get()).toIndexedSeq
+    catch { case e: ExecutionException => throw e.getCause }
   }
 }
 

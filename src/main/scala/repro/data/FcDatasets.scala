@@ -42,10 +42,13 @@ final case class DatasetSpec(name: String, domain: String, precision: Precision,
   /** DataFrame of (idx, value) for the given extent, idx in scan order. */
   def dataFrame(spark: SparkSession, extent: Seq[Long]): DataFrame = gen(spark, extent)
 
-  /** Collect the dataset into one FpBlock (drivers-side; corpus is small). */
+  /** Collect the dataset into one FpBlock (drivers-side; corpus is small).
+    * Every generator emits its rows in `idx` order, partition by partition,
+    * so the collected values are already in scan order.
+    */
   def block(spark: SparkSession, targetValues: Int): FpBlock = {
     val extent = extentFor(targetValues)
-    val rows   = dataFrame(spark, extent).orderBy("idx").select("value").collect()
+    val rows   = dataFrame(spark, extent).select("value").collect()
     val vals   = rows.map(_.getDouble(0))
     precision match {
       case Precision.Double => FpBlock.fromDoubles(vals, extent)
@@ -189,30 +192,17 @@ object FcDatasets {
 
   /** o_totalprice from the provided TPC-H-lite generator, in row order. */
   private val tpcHOrder =
-    (spark: SparkSession, extent: Seq[Long]) => {
-      val n  = extent.product
-      val sf = n.toDouble / 1_500_000.0 // SynthData.orders rows per SF
-      SynthData.orders(spark, sf)
+    (spark: SparkSession, extent: Seq[Long]) =>
+      SynthData.orders(spark, extent.product)
         .select((col("o_orderkey") - 1) as "idx", col("o_totalprice") as "value")
-        .where(col("idx") < n)
-    }
 
   /** The four numeric lineitem columns, interleaved row-major (n x 4). */
   private val tpcHLineitem =
-    (spark: SparkSession, extent: Seq[Long]) => {
-      val rows = extent.head
-      val sf   = rows.toDouble / 6_000_000.0
-      val li = SynthData.lineitem(spark, sf)
-        .limit(rows.toInt)
-        .withColumn("rid", monotonically_increasing_id())
-      val packed = li.select(col("rid"),
-        posexplode(array(col("l_quantity"), col("l_extendedprice"),
-                         col("l_discount"), col("l_tax"))))
-      packed
-        .withColumn("row", row_number().over(
-          org.apache.spark.sql.expressions.Window.orderBy("rid", "pos")) - 1)
-        .select(col("row") as "idx", col("col").cast("double") as "value")
-    }
+    (spark: SparkSession, extent: Seq[Long]) =>
+      SynthData.lineitem(spark, extent.head)
+        .select(col("id"), posexplode(array(col("l_quantity"), col("l_extendedprice"),
+                                            col("l_discount"), col("l_tax"))))
+        .select((col("id") * 4 + col("pos")) as "idx", col("col").cast("double") as "value")
 
   private def tpcTable(name: String, decimals: Int) =
     (spark: SparkSession, extent: Seq[Long]) =>

@@ -76,10 +76,10 @@ object CompressedColumnStore {
     spark.createDataset(values.toSeq)(Encoders.scalaDouble).toDF("value")
 
   /** 10 thresholds from the value histogram, per the paper's footnote 14. */
-  def histogramThresholds(values: Array[Double], bins: Int = 10): Seq[Double] = {
+  def histogramThresholds(values: Array[Double]): Seq[Double] = {
     val finite = values.filter(v => !v.isNaN && !v.isInfinite)
-    if (finite.isEmpty) return Seq.fill(bins)(0.0)
+    if (finite.isEmpty) return Seq.fill(10)(0.0)
     val lo = finite.min; val hi = finite.max
-    (1 to bins).map(k => lo + (hi - lo) * k / bins)
+    (1 to 10).map(k => lo + (hi - lo) * k / 10)
   }
 }

@@ -21,15 +21,13 @@ object Table10 {
   val SampleDatasets: Seq[String] =
     Seq("msg-bt", "rsim", "nyc-taxi", "citytemp", "hdr-night", "tpcH-order", "tpcDS-store")
 
-  def run(spark: SparkSession,
-          targetValues: Int = BenchConfig.targetValues,
-          iters: Int = BenchConfig.iters): Result = {
-    val blocks = SampleDatasets.map(n => FcDatasets.byName(n).block(spark, targetValues))
+  def run(spark: SparkSession): Result = {
+    val blocks = SampleDatasets.map(n => FcDatasets.byName(n).block(spark, BenchConfig.targetValues))
     val cells = for {
       bs    <- BlockedRunner.PaperBlockSizes
       codec <- PaperNumbers.Table10Methods.map(CodecRegistry.byName)
     } yield {
-      val runs = blocks.map(b => Measure.roundtrip(codec, BlockedRunner.split(b, bs), iters))
+      val runs = blocks.map(b => Measure.roundtrip(codec, BlockedRunner.split(b, bs), BenchConfig.iters))
       Cell(codec.name, bs,
            CompressionBench.harmonicMean(runs.map(_.cr)),
            CompressionBench.arithmeticMean(runs.map(_.ctGBps)),

@@ -19,18 +19,21 @@ object Table11 {
   final case class Result(cells: Seq[Cell], queryMs: Map[String, Double],
                           meanTotalMs: Map[String, Double], text: String)
 
-  def run(spark: SparkSession,
-          // 4x the grid size: decode-time differences must clear I/O noise
-          targetValues: Int = BenchConfig.targetValues * 4,
-          dir: String = "target/colstore"): Result = {
+  /** Values per dataset as a multiple of the grid's: decode-time
+    * differences must clear I/O noise. */
+  private val SizeFactor = 4
+  /** Where the column chunks are written. */
+  private val Dir = "target/colstore"
+
+  def run(spark: SparkSession): Result = {
     val methods = PaperNumbers.Table11Methods
     val tpc     = FcDatasets.tpc
 
     val all = for (spec <- tpc) yield {
-      val block = spec.block(spark, targetValues)
+      val block = spec.block(spark, BenchConfig.targetValues * SizeFactor)
       val perCodec = methods.map { m =>
         val codec = CodecRegistry.byName(m)
-        val path  = s"$dir/${spec.name}-$m"
+        val path  = s"$Dir/${spec.name}-$m"
         CompressedColumnStore.write(spark, path, block, codec)
         val t = CompressedColumnStore.readDecodeQuery(spark, path, spec.name, codec,
                                                       spec.precision)

@@ -18,10 +18,8 @@ object Table4 {
                           criticalDifference: Double,
                           text: String)
 
-  def run(spark: SparkSession,
-          targetValues: Int = BenchConfig.targetValues,
-          iters: Int = BenchConfig.iters): Result = {
-    val rows    = GridCache.metrics(spark, targetValues, iters)
+  def run(spark: SparkSession): Result = {
+    val rows    = GridCache.metrics(spark)
     val methods = PaperNumbers.Methods
     val cr      = rows.map(r => (r.dataset, r.codec) -> r.roundtrip.cr).toMap
 

@@ -13,10 +13,8 @@ object Table5 {
                           decompGBps: Map[String, Double],
                           text: String)
 
-  def run(spark: SparkSession,
-          targetValues: Int = BenchConfig.targetValues,
-          iters: Int = BenchConfig.iters): Result = {
-    val rows    = GridCache.metrics(spark, targetValues, iters)
+  def run(spark: SparkSession): Result = {
+    val rows    = GridCache.metrics(spark)
     val methods = PaperNumbers.Methods
     val comp = methods.map(m =>
       m -> CompressionBench.arithmeticMean(rows.filter(_.codec == m).map(_.roundtrip.ctGBps))).toMap

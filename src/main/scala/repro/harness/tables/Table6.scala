@@ -16,10 +16,8 @@ object Table6 {
                           decompMs: Map[String, Double],
                           text: String)
 
-  def run(spark: SparkSession,
-          targetValues: Int = BenchConfig.targetValues,
-          iters: Int = BenchConfig.iters): Result = {
-    val rows    = GridCache.metrics(spark, targetValues, iters)
+  def run(spark: SparkSession): Result = {
+    val rows    = GridCache.metrics(spark)
     val methods = PaperNumbers.Table6Methods
     val comp = methods.map(m =>
       m -> CompressionBench.arithmeticMean(

@@ -20,13 +20,14 @@ object Table7And8 {
   def codecs: Seq[ThreadedCodec] =
     Seq(new Pfpc(), new BitshuffleLz4(), new BitshuffleZstd(), new NdzipCpu())
 
-  def run(spark: SparkSession,
-          scaleValues: Int = BenchConfig.scaleValues,
-          iters: Int = 3): Result = {
+  /** Timed runs per (codec, thread count), the fastest of which counts. */
+  private val Iters = 3
+
+  def run(spark: SparkSession): Result = {
     // the paper profiles scalability on msg-bt; use its synthetic twin
-    val block  = FcDatasets.byName("msg-bt").block(spark, scaleValues)
+    val block  = FcDatasets.byName("msg-bt").block(spark, BenchConfig.scaleValues)
     val sweep  = ScalabilityBench.ThreadSweep
-    val points = codecs.map(c => c.name -> ScalabilityBench.sweep(c, block, iters, sweep)).toMap
+    val points = codecs.map(c => c.name -> ScalabilityBench.sweep(c, block, Iters, sweep)).toMap
 
     def render(title: String, get: ScalePoint => Double,
                paper: Map[Int, Seq[Double]]): String = {

@@ -1,9 +1,9 @@
 package repro.harness.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{Codec, CodecRegistry}
+import repro.core.{CodecRegistry, FpBlock}
 import repro.data.FcDatasets
-import repro.harness.CompressionBench
+import repro.harness.{CompressionBench, Measure}
 import repro.stats.MannWhitney
 
 /** Table 9 — does flattening multi-dimensional data to 1-D (the column-store
@@ -20,15 +20,15 @@ object Table9 {
 
   val DimAwareMethods: Seq[String] = Seq("GFC", "MPC", "fpzip", "ndzip-C", "ndzip-G")
 
-  def run(spark: SparkSession,
-          targetValues: Int = BenchConfig.targetValues): Result = {
+  def run(spark: SparkSession): Result = {
     val multiDim = FcDatasets.all.filter(_.ndims > 1)
-    val blocks   = multiDim.map(s => s.block(spark, targetValues))
+    val blocks   = multiDim.map(s => s.block(spark, BenchConfig.targetValues))
 
     val results = DimAwareMethods.map { name =>
-      val codec: Codec = CodecRegistry.byName(name)
-      val md = blocks.map(b => b.sizeBytes.toDouble / codec.compress(b).bytes.length)
-      val od = blocks.map(b => b.sizeBytes.toDouble / codec.compress(b.as1d).bytes.length)
+      val codec = CodecRegistry.byName(name)
+      def cr(b: FpBlock) = Measure.roundtrip(codec, Seq(b), 1).cr
+      val md = blocks.map(cr)
+      val od = blocks.map(b => cr(b.as1d))
       MethodResult(name,
                    CompressionBench.harmonicMean(md),
                    CompressionBench.harmonicMean(od),

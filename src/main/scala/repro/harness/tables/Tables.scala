@@ -4,16 +4,18 @@ import org.apache.spark.sql.SparkSession
 import repro.harness.{CompressionBench, MetricsRow}
 
 /** Shared infrastructure for the table reproductions: a per-JVM cache of the
-  * full benchmark grid (Tables 4, 5 and 6 aggregate the same run, as in the
-  * paper) and text-rendering helpers that print measured values next to the
-  * paper's.
+  * full benchmark grid at [[BenchConfig]]'s size (Tables 4, 5 and 6 aggregate
+  * the same run, as in the paper) and text-rendering helpers that print
+  * measured values next to the paper's.
   */
 object GridCache {
-  private val cache = scala.collection.concurrent.TrieMap.empty[(Int, Int), Seq[MetricsRow]]
+  private var grid: Seq[MetricsRow] = null
 
-  def metrics(spark: SparkSession, targetValues: Int, iters: Int): Seq[MetricsRow] =
-    cache.getOrElseUpdate((targetValues, iters),
-                          CompressionBench.runGrid(spark, targetValues = targetValues, iters = iters))
+  def metrics(spark: SparkSession): Seq[MetricsRow] = synchronized {
+    if (grid == null)
+      grid = CompressionBench.runGrid(spark, targetValues = BenchConfig.targetValues, iters = BenchConfig.iters)
+    grid
+  }
 }
 
 object Render {

@@ -28,14 +28,7 @@ object Friedman {
     val rankSums = scala.collection.mutable.Map(methods.map(_ -> 0.0): _*)
     scores.foreach { row =>
       val sorted = methods.sortBy(row) // ascending score
-      var i = 0
-      while (i < k) {
-        var j = i
-        while (j + 1 < k && row(sorted(j + 1)) == row(sorted(i))) j += 1
-        val meanRank = (i + j + 2) / 2.0 // ranks are 1-based ascending
-        (i to j).foreach(x => rankSums(sorted(x)) += meanRank)
-        i = j + 1
-      }
+      sorted.zip(MidRanks(sorted.map(row))).foreach { case (m, r) => rankSums(m) += r }
     }
     val avgRanks = rankSums.map { case (m, s) => m -> s / n }.toMap
     val sumSq    = avgRanks.values.map(r => r * r).sum
@@ -79,15 +72,7 @@ object MannWhitney {
     val n1 = a.size; val n2 = b.size
     require(n1 > 0 && n2 > 0, "empty sample")
     val all    = (a.map((_, 0)) ++ b.map((_, 1))).sortBy(_._1)
-    val ranks  = new Array[Double](all.size)
-    var i = 0
-    while (i < all.size) {
-      var j = i
-      while (j + 1 < all.size && all(j + 1)._1 == all(i)._1) j += 1
-      val meanRank = (i + j + 2) / 2.0
-      (i to j).foreach(x => ranks(x) = meanRank)
-      i = j + 1
-    }
+    val ranks  = MidRanks(all.map(_._1))
     val r1 = all.indices.collect { case x if all(x)._2 == 0 => ranks(x) }.sum
     val u1 = r1 - n1 * (n1 + 1) / 2.0
     val u  = math.min(u1, n1.toDouble * n2 - u1)
@@ -101,6 +86,25 @@ object MannWhitney {
     val z  = if (variance <= 0) 0.0 else (u - mu + 0.5) / math.sqrt(variance)
     val p  = 2.0 * Gaussian.cdf(-math.abs(z))
     Result(u, z, math.min(1.0, p))
+  }
+}
+
+/** 1-based ranks of ascending `sorted` values; a run of equal values shares
+  * the mean of the ranks it spans.
+  */
+private object MidRanks {
+  def apply(sorted: Seq[Double]): Array[Double] = {
+    val xs    = sorted.toArray
+    val ranks = new Array[Double](xs.length)
+    var i = 0
+    while (i < xs.length) {
+      var j = i
+      while (j + 1 < xs.length && xs(j + 1) == xs(i)) j += 1
+      val meanRank = (i + j + 2) / 2.0
+      (i to j).foreach(x => ranks(x) = meanRank)
+      i = j + 1
+    }
+    ranks
   }
 }
 

@@ -10,7 +10,8 @@ import repro.codecs.gpu.{NdzipGpu, NvLz4}
 /** Every codec that stores its chunks in a `core.Frame` rejects a damaged
   * frame instead of decoding it: a stream cut short, a chunk count the
   * decoder does not expect, and a chunk length that runs past the stream.
-  * ndzip also rejects raw border bytes that do not fill the border exactly.
+  * ndzip also rejects raw border bytes that do not fill the border exactly,
+  * and bitshuffle a damaged part, with the same exception at any thread count.
   */
 class FrameSpec extends SparkSpec {
 
@@ -68,6 +69,16 @@ class FrameSpec extends SparkSpec {
           intercept[IllegalArgumentException](decode(codec, bytes.dropRight(k)))
         }
         intercept[IllegalArgumentException](decode(codec, bytes :+ 0.toByte))
+      }
+  }
+
+  test("shf+LZ4 and shf+zstd raise a damaged part's own exception at 1 and 4 threads") {
+    for (codec <- Seq(new BitshuffleLz4(1), new BitshuffleLz4(4), new BitshuffleZstd(1), new BitshuffleZstd(4)))
+      withClue(s"${codec.name}(${codec.threads}): ") {
+        val bad   = codec.compress(block).bytes.clone()
+        val count = ByteBuffer.wrap(bad).order(ByteOrder.LITTLE_ENDIAN).getInt(0)
+        java.util.Arrays.fill(bad, 4 + 4 * count, 4 + 4 * count + 40, 0xff.toByte)
+        intercept[IllegalArgumentException](decode(codec, bad))
       }
   }
 }

@@ -110,18 +110,6 @@ class TransformSpec extends SparkSpec {
     assert(comp.bytes.length < block.sizeBytes / 2)
   }
 
-  test("BUFF scanLessEqual matches a reference filter") {
-    val buff   = new repro.codecs.cpu.Buff
-    val block  = TestInputs.quantizedD(3000, 2, seed = 21)
-    val comp   = buff.compress(block)
-    val values = block.toDoubles
-    for (thr <- Seq(0.0, 123.45, 500.0, 999.99, -5.0, 1500.0)) {
-      val expected = values.count(_ <= thr)
-      val got      = buff.scanLessEqual(comp.bytes, values.length, thr)
-      assert(got == expected, s"thr=$thr got=$got expected=$expected")
-    }
-  }
-
   test("pFPC thread counts produce identical decompressed data") {
     val block = TestInputs.smooth1dD(10000)
     for (t <- Seq(1, 2, 4, 8)) {

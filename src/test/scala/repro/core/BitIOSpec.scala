@@ -35,17 +35,6 @@ class BitIOSpec extends SparkSpec with PropSupport {
     assert(r.readBits(16) == 0xffffL)
   }
 
-  test("aligned bytes interleave with bits") {
-    val w = new BitWriter()
-    w.writeBits(5, 3)
-    w.writeAlignedBytes(Array[Byte](1, 2, 3), 0, 3)
-    w.writeBits(9, 5)
-    val r = new BitReader(w.toArray)
-    assert(r.readBits(3) == 5)
-    assert(r.readAlignedBytes(3).toSeq == Seq[Byte](1, 2, 3))
-    assert(r.readBits(5) == 9)
-  }
-
   test("sizeBits tracks written bits exactly") {
     val w = new BitWriter()
     w.writeBits(1, 1); assert(w.sizeBits == 1)
@@ -84,7 +73,6 @@ class BitIOSpec extends SparkSpec with PropSupport {
     intercept[ArrayIndexOutOfBoundsException](new BitReader(bytes).readBits(17))
     intercept[ArrayIndexOutOfBoundsException](new BitReader(new Array[Byte](7)).readBits(64))
     intercept[ArrayIndexOutOfBoundsException](new BitReader(bytes, 2).readBits(1))
-    intercept[ArrayIndexOutOfBoundsException](new BitReader(bytes, 1).readAlignedBytes(2))
   }
 
   test("property: reads in the last 8 bytes of a stream match the oracle and throw where it does") {
@@ -112,7 +100,8 @@ class BitIOSpec extends SparkSpec with PropSupport {
     val w = new BitWriter(16)
     val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
     w.writeBits(5, 3)
-    w.writeAlignedBytes(big, 0, big.length)
+    w.align()
+    big.foreach(b => w.writeBits(b, 8))
     assert(w.toArray.sameElements(0xa0.toByte +: big))
     intercept[NullPointerException](w.toArray)
     intercept[NullPointerException](w.writeBits(-1L, 64))
@@ -138,9 +127,6 @@ object BitIOSpec {
   final case class Bits(value: Long, n: Int) extends Op
   final case class Bit(b: Int)               extends Op
   case object Align                          extends Op
-  final case class AlignedBytes(bytes: Array[Byte], off: Int, len: Int) extends Op {
-    override def toString: String = s"AlignedBytes(${bytes.mkString("[", ", ", "]")}, $off, $len)"
-  }
 
   /** Sequences of writes whose values carry bits above their width. */
   val opsGen: Gen[List[Op]] = {
@@ -149,20 +135,14 @@ object BitIOSpec {
       v <- Gen.choose(Long.MinValue, Long.MaxValue)
     } yield Bits(v, n)
     val bit = Gen.choose(-3, 3).map(Bit(_))
-    val aligned = for {
-      bytes <- Gen.choose(0, 12).flatMap(k => Gen.listOfN(k, Gen.choose(Byte.MinValue, Byte.MaxValue)))
-      off   <- Gen.choose(0, bytes.length)
-      len   <- Gen.choose(0, bytes.length - off)
-    } yield AlignedBytes(bytes.toArray, off, len)
     Gen.choose(0, 80).flatMap(k =>
-      Gen.listOfN(k, Gen.frequency(10 -> bits, 4 -> bit, 1 -> Gen.const(Align), 1 -> aligned)))
+      Gen.listOfN(k, Gen.frequency(10 -> bits, 4 -> bit, 1 -> Gen.const(Align))))
   }
 
   def applyOp(w: BitWriter, op: Op): Unit = op match {
-    case Bits(v, n)                => w.writeBits(v, n)
-    case Bit(b)                    => w.writeBit(b)
-    case Align                     => w.align()
-    case AlignedBytes(b, off, len) => w.writeAlignedBytes(b, off, len)
+    case Bits(v, n) => w.writeBits(v, n)
+    case Bit(b)     => w.writeBit(b)
+    case Align      => w.align()
   }
 
   /** Applies `ops` to a `BitWriter` and the oracle, comparing them after each. */
@@ -171,10 +151,9 @@ object BitIOSpec {
     val o = new ByteLoopBitWriter(4)
     ops.iterator.zipWithIndex.map { case (op, i) =>
       op match {
-        case Bits(v, n)                => w.writeBits(v, n); o.writeBits(v, n)
-        case Bit(b)                    => w.writeBit(b); o.writeBit(b)
-        case Align                     => w.align(); o.align()
-        case AlignedBytes(b, off, len) => w.writeAlignedBytes(b, off, len); o.writeAlignedBytes(b, off, len)
+        case Bits(v, n) => w.writeBits(v, n); o.writeBits(v, n)
+        case Bit(b)     => w.writeBit(b); o.writeBit(b)
+        case Align      => w.align(); o.align()
       }
       if (!w.toArray.sameElements(o.toArray)) Some(s"bytes differ after op $i: $op")
       else if (w.sizeBits != o.sizeBits) Some(s"sizeBits ${w.sizeBits} != ${o.sizeBits} after op $i: $op")
@@ -215,20 +194,18 @@ object BitIOSpec {
   def readMismatch(ops: List[Op], prefixLen: Int): Option[String] = {
     val o = new ByteLoopBitWriter()
     ops.foreach {
-      case Bits(v, n)                => o.writeBits(v, n)
-      case Bit(b)                    => o.writeBit(b)
-      case Align                     => o.align()
-      case AlignedBytes(b, off, len) => o.writeAlignedBytes(b, off, len)
+      case Bits(v, n) => o.writeBits(v, n)
+      case Bit(b)     => o.writeBit(b)
+      case Align      => o.align()
     }
     val bytes = Array.fill[Byte](prefixLen)(0x5a) ++ o.toArray
     val r     = new BitReader(bytes, prefixLen)
     val or    = new ByteLoopBitReader(bytes, prefixLen)
     ops.iterator.zipWithIndex.map { case (op, i) =>
       val same = op match {
-        case Bits(_, n)              => r.readBits(n) == or.readBits(n)
-        case Bit(_)                  => r.readBit() == or.readBit()
-        case Align                   => r.align(); or.align(); true
-        case AlignedBytes(_, _, len) => r.readAlignedBytes(len).sameElements(or.readAlignedBytes(len))
+        case Bits(_, n) => r.readBits(n) == or.readBits(n)
+        case Bit(_)     => r.readBit() == or.readBit()
+        case Align      => r.align(); or.align(); true
       }
       if (!same) Some(s"read differs at op $i: $op")
       else if (r.bytePosition != or.bytePosition)

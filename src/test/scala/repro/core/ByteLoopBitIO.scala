@@ -39,14 +39,6 @@ final class ByteLoopBitWriter(initialCapacity: Int = 1024) {
 
   def writeBit(b: Int): Unit = writeBits(b.toLong & 1L, 1)
 
-  /** Byte-align then append raw bytes verbatim. */
-  def writeAlignedBytes(bytes: Array[Byte], off: Int, len: Int): Unit = {
-    align()
-    ensure(len)
-    System.arraycopy(bytes, off, buf, bytePos, len)
-    bytePos += len
-  }
-
   /** Pad with zero bits to the next byte boundary. */
   def align(): Unit = if (bitPos != 0) { bytePos += 1; bitPos = 0 }
 
@@ -83,14 +75,6 @@ final class ByteLoopBitReader(buf: Array[Byte], startByte: Int = 0) {
   }
 
   def readBit(): Int = readBits(1).toInt
-
-  /** Byte-align then copy `len` raw bytes. */
-  def readAlignedBytes(len: Int): Array[Byte] = {
-    align()
-    val out = Arrays.copyOfRange(buf, bytePos, bytePos + len)
-    bytePos += len
-    out
-  }
 
   def align(): Unit = if (bitPos != 0) { bytePos += 1; bitPos = 0 }
 

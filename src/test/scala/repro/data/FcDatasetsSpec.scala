@@ -1,7 +1,7 @@
 package repro.data
 
 import repro.SparkSpec
-import repro.core.Precision
+import repro.core.{FpBlock, Precision}
 
 class FcDatasetsSpec extends SparkSpec {
 
@@ -52,6 +52,14 @@ class FcDatasetsSpec extends SparkSpec {
       assert(block.n > 500, s"too few values: ${block.n}")
       val finite = block.toDoubles.count(v => !v.isNaN && !v.isInfinite)
       assert(finite == block.n, "generators must not produce NaN/Inf")
+      // `block` collects without sorting: the generator's rows must come in idx order.
+      val sorted = spec.dataFrame(spark, block.extent).orderBy("idx").select("value").collect()
+        .map(_.getDouble(0))
+      val oracle = spec.precision match {
+        case Precision.Double => FpBlock.fromDoubles(sorted, block.extent)
+        case Precision.Single => FpBlock.fromFloats(sorted.map(_.toFloat), block.extent)
+      }
+      assert(java.util.Arrays.equals(block.bits, oracle.bits), "block is not in idx order")
     }
   }
 
@@ -117,6 +125,7 @@ class FcDatasetsSpec extends SparkSpec {
     assert(ext.last == 4)
     val df = spec.dataFrame(spark, ext)
     assert(df.count() == ext.product)
+    assert(df.select("idx").collect().map(_.getLong(0)).toSeq == (0L until ext.product))
   }
 
   test("extentFor respects tabular column counts") {
