@@ -14,7 +14,8 @@ import repro.lz.{Lz4Backend, LzBackend, ZstdBackend}
   * all values become consecutive bytes. The shuffled stream is then encoded
   * per compression block by `backend`, LZ4 or zstd. Blocks compress
   * independently, so thread-level parallelism distributes blocks over a pool
-  * (Tables 7/8). Compression blocks are a fixed 64 KiB.
+  * (Tables 7/8). Compression blocks are a fixed 64 KiB; each is shuffled
+  * into, or decoded into, a per-thread array (see [[repro.core.KeptArray]]).
   */
 abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends ThreadedCodec {
   import BitshuffleBase._
@@ -25,9 +26,9 @@ abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends Thre
     val elemSize = block.precision.bytes
     val rawLen   = block.n * elemSize
     val parts = Parallel.map(Frame.fixedRanges(rawLen, BlockBytes), threads) { case (from, until) =>
-      val shuffled = new Array[Byte](until - from)
-      shuffle(block.bits, from / elemSize, shuffled, elemSize)
-      backend.compress(shuffled)
+      val shuffled = shuffledParts.get.atLeast(until - from)
+      shuffle(block.bits, from / elemSize, shuffled, until - from, elemSize)
+      backend.compress(shuffled, 0, until - from)
     }
     val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(rawLen.toLong * 3, bytes.length,
@@ -43,9 +44,9 @@ abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends Thre
     val bits     = new Array[Long](n)
     Parallel.map(ranges.indices, threads) { bi =>
       val (from, until) = ranges(bi)
-      val shuffled = new Array[Byte](until - from)
-      backend.decompress(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled, 0, shuffled.length)
-      unshuffle(shuffled, bits, from / elemSize, elemSize)
+      val shuffled = shuffledParts.get.atLeast(until - from)
+      backend.decompress(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled, 0, until - from)
+      unshuffle(shuffled, until - from, bits, from / elemSize, elemSize)
     }
     Decompressed(FpBlock(precision, extent, bits),
                  WorkProfile(data.length, rawLen, rawLen.toLong * 10, divergent = false))
@@ -82,29 +83,34 @@ object BitshuffleBase {
 
   private val LongLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
 
-  /** Shuffle the `out.length / elemSize` values of `bits` from `first` on
-    * into `out`, chunk by chunk.
+  /** One thread's shuffled bytes of a compression block, coded from or
+    * decoded into (see [[KeptArray]]).
     */
-  def shuffle(bits: Array[Long], first: Int, out: Array[Byte], elemSize: Int): Unit = {
+  private val shuffledParts = KeptArray.perThread[Byte](1)
+
+  /** Shuffle the `len / elemSize` values of `bits` from `first` on into
+    * `out(0 until len)`, chunk by chunk.
+    */
+  def shuffle(bits: Array[Long], first: Int, out: Array[Byte], len: Int, elemSize: Int): Unit = {
     val group = new Array[Long](elemSize * 8)
     var c = 0
-    while (c < out.length) {
-      val len = math.min(TransposeChunk, out.length - c)
-      shuffleChunk(bits, first + c / elemSize, len / elemSize, out, c, elemSize, group)
-      c += len
+    while (c < len) {
+      val l = math.min(TransposeChunk, len - c)
+      shuffleChunk(bits, first + c / elemSize, l / elemSize, out, c, elemSize, group)
+      c += l
     }
   }
 
-  /** Unshuffle `in`, the output of [[shuffle]], into
-    * `bits(first until first + in.length / elemSize)`.
+  /** Unshuffle `in(0 until len)`, the output of [[shuffle]], into
+    * `bits(first until first + len / elemSize)`.
     */
-  def unshuffle(in: Array[Byte], bits: Array[Long], first: Int, elemSize: Int): Unit = {
+  def unshuffle(in: Array[Byte], len: Int, bits: Array[Long], first: Int, elemSize: Int): Unit = {
     val group = new Array[Long](elemSize * 8)
     var c = 0
-    while (c < in.length) {
-      val len = math.min(TransposeChunk, in.length - c)
-      unshuffleChunk(in, c, bits, first + c / elemSize, len / elemSize, elemSize, group)
-      c += len
+    while (c < len) {
+      val l = math.min(TransposeChunk, len - c)
+      unshuffleChunk(in, c, bits, first + c / elemSize, l / elemSize, elemSize, group)
+      c += l
     }
   }
 

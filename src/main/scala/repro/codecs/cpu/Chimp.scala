@@ -18,7 +18,8 @@ import repro.core._
   *   - `11` : same but new leading-zero count — store 3-bit code then bits
   *
   * The encoder's index table and output are per thread and reused across
-  * calls (see [[repro.core.ReusedTable]] and [[repro.core.KeptArray]]).
+  * calls (see [[repro.core.PositionTable]] and [[repro.core.KeptArray]]).
+  * A stale index slot reads as a negative position, which matches nothing.
   * Leading-zero counts are rounded through lookup tables, as in the
   * reference implementation.
   */
@@ -34,8 +35,9 @@ final class Chimp extends Codec {
     val out     = writers.get.restart(block.n * block.precision.bytes / 2 + 64)
     val vals    = block.bits
     val stored  = new Array[Long](PrevValues)
-    val table   = indexTables.get.acquire(vals.length)
+    val table   = indexTables.get
     val indices = table.slots
+    val base    = table.base(vals.length)
     var storedLz = Int.MaxValue
     var ops      = 0L
 
@@ -47,8 +49,9 @@ final class Chimp extends Codec {
         val key = (v & KeyMask).toInt
         var refIdx = (i - 1) % PrevValues // default: immediately previous value
         var viaTable = false
-        if (i - indices(key) <= PrevValues && indices(key) >= 0) {
-          val cand = indices(key) % PrevValues
+        val last = indices(key) - base
+        if (last >= 0 && i - last <= PrevValues) {
+          val cand = last % PrevValues
           val xorC = (v ^ stored(cand)) & Words.mask(w)
           if (xorC == 0 || java.lang.Long.numberOfTrailingZeros(xorC) > TrailThreshold) {
             refIdx = cand; viaTable = true
@@ -82,11 +85,10 @@ final class Chimp extends Codec {
         }
       }
       stored(i % PrevValues) = v
-      indices((v & KeyMask).toInt) = i
+      indices((v & KeyMask).toInt) = i + base
       ops += 18
       i += 1
     }
-    table.release(vals.length)(table.reset(vals))
     Compressed(out.toArray,
                WorkProfile(block.sizeBytes, out.sizeBytes, ops, divergent = false))
   }
@@ -134,7 +136,6 @@ object Chimp {
   private final val PrevLog2       = 7
   private final val TrailThreshold = 6 + PrevLog2 // 13, per the Chimp128 reference impl
   private final val KeyMask        = (1L << (TrailThreshold + 1)) - 1
-  private final val NoIndex        = -PrevValues - 1
 
   /** Leading-zero counts are rounded down to one of 8 buckets; the 3-bit
     * code of a bucket is its index here.
@@ -157,17 +158,7 @@ object Chimp {
     LeadRound(java.lang.Long.numberOfLeadingZeros(x) - (64 - w))
 
   /** The encoder's index of the last position holding each low-bits key. */
-  private final class Index extends ReusedTable((KeyMask + 1).toInt) {
-    val slots = new Array[Int]((KeyMask + 1).toInt)
-    protected def fill(): Unit = java.util.Arrays.fill(slots, NoIndex)
-
-    def reset(vals: Array[Long]): Unit = {
-      var i = 0
-      while (i < vals.length) { slots((vals(i) & KeyMask).toInt) = NoIndex; i += 1 }
-    }
-  }
-
-  private val indexTables = ThreadLocal.withInitial[Index](() => new Index)
+  private val indexTables = PositionTable.perThread((KeyMask + 1).toInt)
 
   /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
   private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)

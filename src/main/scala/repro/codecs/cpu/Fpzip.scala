@@ -48,12 +48,12 @@ final class Fpzip extends Codec {
       if (sym > 1) raw.writeBits(z, sym - 1) // top bit of z is implicit
       i += 1
     }
-    val symBytes = enc.finish()
-    val rawBytes = raw.toArray
-    val bytes    = new Array[Byte](4 + symBytes.length + rawBytes.length)
-    ByteBuf.writeWordLE(bytes, 0, symBytes.length, 4)
-    System.arraycopy(symBytes, 0, bytes, 4, symBytes.length)
-    System.arraycopy(rawBytes, 0, bytes, 4 + symBytes.length, rawBytes.length)
+    val symbols = enc.finish()
+    val symLen  = symbols.size
+    val bytes   = new Array[Byte](4 + symLen + raw.sizeBytes)
+    ByteBuf.writeWordLE(bytes, 0, symLen, 4)
+    symbols.copyTo(bytes, 4)
+    raw.copyTo(bytes, 4 + symLen)
     Compressed(bytes, WorkProfile(block.sizeBytes, bytes.length,
                                   block.n.toLong * 40, divergent = false))
   }
@@ -104,7 +104,8 @@ final class Fpzip extends Codec {
 
 object Fpzip {
   /** One thread's writers: the range-coded symbols and the verbatim bits.
-    * The stream joins their bytes behind the symbols' 4-byte length.
+    * The stream joins their bytes behind the symbols' 4-byte length, each
+    * copied once, straight from its writer.
     */
   private final class Writers {
     val symbols = new ByteBuf

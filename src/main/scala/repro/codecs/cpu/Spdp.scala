@@ -15,6 +15,8 @@ import repro.lz.Lza6
   *   4. LZa6  — fast sliding-window LZ77 over the final residuals.
   *
   * SPDP is serial; its ratio/throughput trade-off lives in LZa6's window.
+  * The transformed bytes of a block are kept per thread (see
+  * [[repro.core.KeptArray]]).
   */
 final class Spdp extends Codec {
   override def name: String     = "SPDP"
@@ -25,24 +27,27 @@ final class Spdp extends Codec {
     * give, from one array.
     */
   override def compress(block: FpBlock): Compressed = {
-    val s = shuffle(block)
-    difference(s)
-    val (lz, lzWork) = Lza6.compress(s)
-    val transformWork = WorkProfile(s.length.toLong * 3, s.length.toLong * 3,
-                                    s.length.toLong * 6, divergent = false)
+    val len = block.n * block.precision.bytes
+    val s   = Spdp.streams.get.atLeast(len)
+    shuffle(block, s)
+    difference(s, len)
+    val (lz, lzWork) = Lza6.compress(s, len)
+    val transformWork = WorkProfile(len.toLong * 3, len.toLong * 3,
+                                    len.toLong * 6, divergent = false)
     Compressed(lz, transformWork + lzWork)
   }
 
-  /** LNVs2 then DIM8 of the block's little-endian bytes. Row `i` of the
-    * bytes goes to byte `i` of each of the 8 columns, and a byte loses the
-    * byte two before it: `w2` holds, for each byte of the row `w`, that
-    * earlier byte. The tail (< 8 bytes) stays in place.
+  /** LNVs2 then DIM8 of the block's little-endian bytes, into the first
+    * `n × precision.bytes` bytes of `s`. Row `i` of the bytes goes to byte
+    * `i` of each of the 8 columns, and a byte loses the byte two before it:
+    * `w2` holds, for each byte of the row `w`, that earlier byte. The tail
+    * (< 8 bytes) stays in place.
     */
-  private def shuffle(block: FpBlock): Array[Byte] = {
+  private def shuffle(block: FpBlock, s: Array[Byte]): Unit = {
     val bits = block.bits
     val pb   = block.precision.bytes
-    val s    = new Array[Byte](bits.length * pb)
-    val rows = s.length / 8
+    val len  = bits.length * pb
+    val rows = len / 8
     var p2   = 0L
     var p1   = 0L
     var i    = 0
@@ -62,20 +67,19 @@ final class Spdp extends Codec {
       i += 1
     }
     var k = rows * 8
-    while (k < s.length) {
+    while (k < len) {
       val b = (bits(k / pb) >>> (8 * (k % pb))) & 0xff
       s(k) = (b - p2).toByte
       p2 = p1; p1 = b
       k += 1
     }
-    s
   }
 
-  /** LNVs1 in place: b(i) -= b(i-1), wrapping mod 256. */
-  private def difference(b: Array[Byte]): Unit = {
+  /** LNVs1 in place over `b(0 until len)`: b(i) -= b(i-1), wrapping mod 256. */
+  private def difference(b: Array[Byte], len: Int): Unit = {
     var prev = 0
     var i    = 0
-    while (i < b.length) { val c = b(i); b(i) = (c - prev).toByte; prev = c; i += 1 }
+    while (i < len) { val c = b(i); b(i) = (c - prev).toByte; prev = c; i += 1 }
   }
 
   /** Undoes the stages in reverse: LNVs1 by a running sum over the LZ
@@ -84,29 +88,31 @@ final class Spdp extends Codec {
     */
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen = extent.product.toInt * precision.bytes
-    val (s, lzWork) = Lza6.decompress(data, rawLen)
-    prefixSum(s)
+    val s      = Spdp.streams.get.atLeast(rawLen)
+    val lzWork = Lza6.decompress(data, s, rawLen)
+    prefixSum(s, rawLen)
     val transformWork = WorkProfile(rawLen.toLong * 3, rawLen.toLong * 3,
                                     rawLen.toLong * 6, divergent = false)
-    Decompressed(FpBlock(precision, extent, unshuffle(s, precision)), transformWork + lzWork)
+    Decompressed(FpBlock(precision, extent, unshuffle(s, rawLen, precision)), transformWork + lzWork)
   }
 
-  /** LNVs1⁻¹ in place: b(i) += b(i-1), wrapping mod 256. */
-  private def prefixSum(b: Array[Byte]): Unit = {
+  /** LNVs1⁻¹ in place over `b(0 until len)`: b(i) += b(i-1), wrapping mod 256. */
+  private def prefixSum(b: Array[Byte], len: Int): Unit = {
     var sum = 0
     var i   = 0
-    while (i < b.length) { sum += b(i); b(i) = sum.toByte; i += 1 }
+    while (i < len) { sum += b(i); b(i) = sum.toByte; i += 1 }
   }
 
-  /** DIM8⁻¹ then LNVs2⁻¹ of `s`, as little-endian values of `precision`.
+  /** DIM8⁻¹ then LNVs2⁻¹ of `s(0 until len)`, as little-endian values of
+    * `precision`.
     * Row `i` of the stream is byte `i` of each of the 8 columns; a raw byte
     * adds the raw byte two before it, which `p2` and `p1` carry from row to
     * row and into the tail.
     */
-  private def unshuffle(s: Array[Byte], precision: Precision): Array[Long] = {
+  private def unshuffle(s: Array[Byte], len: Int, precision: Precision): Array[Long] = {
     val pb   = precision.bytes
-    val bits = new Array[Long](s.length / pb)
-    val rows = s.length / 8
+    val bits = new Array[Long](len / pb)
+    val rows = len / 8
     var p2   = 0
     var p1   = 0
     var i    = 0
@@ -127,7 +133,7 @@ final class Spdp extends Codec {
       i += 1
     }
     var k = rows * 8
-    while (k < s.length) {
+    while (k < len) {
       val b = (s(k) + p2) & 0xff
       bits(k / pb) |= b.toLong << (8 * (k % pb))
       p2 = p1; p1 = b
@@ -135,4 +141,11 @@ final class Spdp extends Codec {
     }
     bits
   }
+}
+
+object Spdp {
+  /** One thread's transformed bytes of a block, coded from or decoded into:
+    * kept up to 64 KiB (see [[KeptArray]]).
+    */
+  private val streams = KeptArray.perThread[Byte](1)
 }

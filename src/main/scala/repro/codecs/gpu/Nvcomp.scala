@@ -10,6 +10,9 @@ import repro.lz.Lz4Backend
   * modeling the warp serialization the paper blames for nvCOMP::LZ4 being the
   * slowest GPU compressor (Observation 3) while decompression, a copy-heavy
   * loop, is not divergent (Observation 4: DT = 18.6x CT).
+  *
+  * Each chunk's raw bytes are written into, or decoded into, a per-thread
+  * array (see [[repro.core.KeptArray]]).
   */
 final class NvLz4 extends Codec {
   override def name: String     = "nv:LZ4"
@@ -18,30 +21,41 @@ final class NvLz4 extends Codec {
   private val ChunkBytes = 65536
 
   override def compress(block: FpBlock): Compressed = {
-    val raw   = block.toBytes
-    val parts = Frame.fixedRanges(raw.length, ChunkBytes).map { case (from, until) =>
-      Lz4Backend.compress(raw, from, until - from)
+    val rawLen = block.sizeBytes.toInt
+    val parts  = Frame.fixedRanges(rawLen, ChunkBytes).map { case (from, until) =>
+      val raw = NvLz4.chunks.get.atLeast(until - from)
+      block.writeBytes(from / block.precision.bytes, raw, until - from)
+      Lz4Backend.compress(raw, 0, until - from)
     }
     val bytes = Frame.write(parts)
-    Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length,
-                                  raw.length.toLong * 12, divergent = true))
+    Compressed(bytes, WorkProfile(rawLen.toLong * 4, bytes.length,
+                                  rawLen.toLong * 12, divergent = true))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen  = extent.product.toInt * precision.bytes
     val ranges  = Frame.fixedRanges(rawLen, ChunkBytes)
     val offsets = Frame.read(data, ranges.length, ranges.length)
-    val raw     = new Array[Byte](rawLen)
+    val bits    = new Array[Long](rawLen / precision.bytes)
     ranges.indices.foreach { i =>
       val (from, until) = ranges(i)
-      Lz4Backend.decompress(data, offsets(i), offsets(i + 1) - offsets(i), raw, from, until - from)
+      val raw = NvLz4.chunks.get.atLeast(until - from)
+      Lz4Backend.decompress(data, offsets(i), offsets(i + 1) - offsets(i), raw, 0, until - from)
+      FpBlock.readBytes(precision, raw, until - from, bits, from / precision.bytes)
     }
     // ~20 ops/byte: LZ4 match copies form a sequential dependency chain,
     // limiting per-thread ILP even without divergence (DESIGN.md #2/#3)
-    Decompressed(FpBlock.fromBytes(precision, extent, raw),
+    Decompressed(FpBlock(precision, extent, bits),
                  WorkProfile(data.length + rawLen, rawLen, rawLen.toLong * 20,
                              divergent = false))
   }
+}
+
+object NvLz4 {
+  /** One thread's raw bytes of a chunk, coded from or decoded into: at most
+    * 64 KiB (see [[KeptArray]]).
+    */
+  private val chunks = KeptArray.perThread[Byte](1)
 }
 
 /** nvCOMP::bitcomp substitute. Per Table 1 bitcomp's trait is

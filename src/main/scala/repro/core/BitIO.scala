@@ -19,8 +19,8 @@ import java.util.Arrays
   *
   * A codec keeps one writer per thread across calls and starts each stream
   * with [[restart]], under the rule of [[KeptArray]]: the writer keeps its
-  * array only up to [[KeptArray.MaxBytes]], and `toArray` is the one copy
-  * that leaves the call.
+  * array only up to [[KeptArray.MaxBytes]], and `toArray` or `copyTo` is
+  * the one copy that leaves the call.
   */
 final class BitWriter(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))
@@ -91,17 +91,32 @@ final class BitWriter(initialCapacity: Int = 1024) {
 
   def sizeBits: Long = bytePos.toLong * 8 + pending
 
-  /** The stream as an exact-size copy. A writer whose array grew past
-    * [[KeptArray.MaxBytes]] lets go of it here: until the next `restart` it
-    * holds no array, so a second `toArray` or a write that stores a byte
-    * throws `NullPointerException` instead of returning zeros.
+  /** The stream as an exact-size copy. This or [[copyTo]] ends the stream:
+    * a writer whose array grew past [[KeptArray.MaxBytes]] lets go of it
+    * here, and until the next `restart` it holds no array, so a second copy
+    * or a write that stores a byte throws `NullPointerException` instead of
+    * returning zeros.
     */
   def toArray: Array[Byte] = {
     val out = Arrays.copyOf(buf, sizeBytes)
-    if (pending > 0) out(bytePos) = (acc << (8 - pending)).toByte
-    if (!KeptArray.keeps(buf.length)) buf = null
+    if (pending > 0) out(bytePos) = lastByte
+    release()
     out
   }
+
+  /** The stream's [[sizeBytes]] bytes, its partial last byte padded with
+    * zero bits, into `dest` from `off`; ends the stream as [[toArray]] does.
+    */
+  def copyTo(dest: Array[Byte], off: Int): Unit = {
+    System.arraycopy(buf, 0, dest, off, bytePos)
+    if (pending > 0) dest(off + bytePos) = lastByte
+    release()
+  }
+
+  /** The pending bits, left-aligned in a byte. */
+  private def lastByte: Byte = (acc << (8 - pending)).toByte
+
+  private def release(): Unit = if (!KeptArray.keeps(buf.length)) buf = null
 }
 
 /** MSB-first bit stream reader over a byte array. Mirrors [[BitWriter]].

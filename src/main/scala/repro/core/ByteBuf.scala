@@ -46,16 +46,24 @@ final class ByteBuf(initialCapacity: Int = 1024) {
 
   def size: Int = len
 
-  /** The bytes as an exact-size copy. A buffer whose array grew past
-    * [[KeptArray.MaxBytes]] lets go of it here: until the next `restart` it
-    * holds no array, so a second `toArray` or a write throws
-    * `NullPointerException` instead of returning zeros.
+  /** The bytes as an exact-size copy. This or [[copyTo]] ends the stream:
+    * a buffer whose array grew past [[KeptArray.MaxBytes]] lets go of it
+    * here, and until the next `restart` it holds no array, so a second copy
+    * or a write throws `NullPointerException` instead of returning zeros.
     */
   def toArray: Array[Byte] = {
     val out = Arrays.copyOf(buf, len)
-    if (!KeptArray.keeps(buf.length)) buf = null
+    release()
     out
   }
+
+  /** The bytes into `dest` from `off`; ends the stream as [[toArray]] does. */
+  def copyTo(dest: Array[Byte], off: Int): Unit = {
+    System.arraycopy(buf, 0, dest, off, len)
+    release()
+  }
+
+  private def release(): Unit = if (!KeptArray.keeps(buf.length)) buf = null
 }
 
 object ByteBuf {

@@ -46,17 +46,25 @@ final case class FpBlock(precision: Precision, extent: Seq[Long], bits: Array[Lo
     out
   }
 
-  /** Serialize to little-endian raw bytes (the on-disk representation).
-    * Hand-rolled loops: this sits under every codec's timed path, so it must
-    * not bottleneck on ByteBuffer call overhead.
-    */
+  /** Serialize to little-endian raw bytes (the on-disk representation). */
   def toBytes: Array[Byte] = {
     val out = new Array[Byte](sizeBytes.toInt)
-    var i = 0
+    writeBytes(0, out, out.length)
+    out
+  }
+
+  /** The raw bytes of values `first until first + len / precision.bytes`
+    * into `out(0 until len)`. Hand-rolled loops: this sits under every
+    * codec's timed path, so it must not bottleneck on ByteBuffer call
+    * overhead.
+    */
+  def writeBytes(first: Int, out: Array[Byte], len: Int): Unit = {
+    val count = len / precision.bytes
+    var i     = 0
     precision match {
       case Precision.Double =>
-        while (i < bits.length) {
-          val v = bits(i); val o = i * 8
+        while (i < count) {
+          val v = bits(first + i); val o = i * 8
           out(o) = v.toByte;             out(o + 1) = (v >>> 8).toByte
           out(o + 2) = (v >>> 16).toByte; out(o + 3) = (v >>> 24).toByte
           out(o + 4) = (v >>> 32).toByte; out(o + 5) = (v >>> 40).toByte
@@ -64,14 +72,13 @@ final case class FpBlock(precision: Precision, extent: Seq[Long], bits: Array[Lo
           i += 1
         }
       case Precision.Single =>
-        while (i < bits.length) {
-          val v = bits(i).toInt; val o = i * 4
+        while (i < count) {
+          val v = bits(first + i).toInt; val o = i * 4
           out(o) = v.toByte;             out(o + 1) = (v >>> 8).toByte
           out(o + 2) = (v >>> 16).toByte; out(o + 3) = (v >>> 24).toByte
           i += 1
         }
     }
-    out
   }
 }
 
@@ -100,12 +107,22 @@ object FpBlock {
   def fromBytes(precision: Precision, extent: Seq[Long], bytes: Array[Byte]): FpBlock = {
     val n    = bytes.length / precision.bytes
     val bits = new Array[Long](n)
+    readBytes(precision, bytes, bytes.length, bits, 0)
+    FpBlock(precision, extentOr(extent, n), bits)
+  }
+
+  /** The values of the raw bytes `bytes(0 until len)` into
+    * `bits(first until first + len / precision.bytes)`: the inverse of
+    * [[FpBlock.writeBytes]].
+    */
+  def readBytes(precision: Precision, bytes: Array[Byte], len: Int, bits: Array[Long], first: Int): Unit = {
+    val n = len / precision.bytes
     var i = 0
     precision match {
       case Precision.Double =>
         while (i < n) {
           val o = i * 8
-          bits(i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
+          bits(first + i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
             ((bytes(o + 2) & 0xffL) << 16) | ((bytes(o + 3) & 0xffL) << 24) |
             ((bytes(o + 4) & 0xffL) << 32) | ((bytes(o + 5) & 0xffL) << 40) |
             ((bytes(o + 6) & 0xffL) << 48) | ((bytes(o + 7) & 0xffL) << 56)
@@ -114,11 +131,10 @@ object FpBlock {
       case Precision.Single =>
         while (i < n) {
           val o = i * 4
-          bits(i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
+          bits(first + i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
             ((bytes(o + 2) & 0xffL) << 16) | ((bytes(o + 3) & 0xffL) << 24)
           i += 1
         }
     }
-    FpBlock(precision, extentOr(extent, n), bits)
   }
 }

@@ -39,10 +39,11 @@ final class RangeEncoder(out: ByteBuf = new ByteBuf()) {
     }
   }
 
-  def finish(): Array[Byte] = {
+  /** Flush the coder's state; `out`, which then holds the whole stream. */
+  def finish(): ByteBuf = {
     var i = 0
     while (i < 4) { out.write(((low >>> 24) & 0xff).toInt); low = (low << 8) & Mask; i += 1 }
-    out.toArray
+    out
   }
 }
 

@@ -1,10 +1,13 @@
 package repro.core
 
-/** A codec's hash or index table that one thread keeps across calls (pFPC's
-  * FCM/DFCM pair, LZa6's `head`, Chimp's value index). The JVM zeroes every
-  * new array in full, so a table allocated per call costs more than coding a
-  * 4 KiB page with it; the C reference codecs get lazily zeroed pages from
-  * `calloc` instead. Each call must still start from the initial table.
+/** A table of values that one thread keeps across calls: pFPC's FCM/DFCM
+  * pair, its only user. The JVM zeroes every new array in full, so a table
+  * allocated per call costs more than coding a 4 KiB page with it; the C
+  * reference codecs get lazily zeroed pages from `calloc` instead. Each call
+  * must still start from the initial table. A table of positions needs none
+  * of this: see [[PositionTable]], whose stale slots need no clearing. FCM
+  * and DFCM slots hold predicted values, where a stale slot would change the
+  * prediction.
   *
   * Between calls the table is either in its initial state or marked dirty:
   *   - a long input (at least `size / 4` items, `size` being the table's

@@ -64,9 +64,25 @@ object Measure {
     val (decs, dt) = Measure.codec(codec, iters)(
       comps.lazyZip(parts).map((c, p) => codec.decompress(c.bytes, p.precision, p.extent)))(
       ds => (total(ds.map(_.work)), compBytes, origBytes))
-    // Arrays.equals: `sameElements` would box every value it compares.
-    val bad = decs.iterator.zip(parts).indexWhere { case (d, p) => !java.util.Arrays.equals(d.block.bits, p.bits) }
-    if (bad >= 0) throw new IllegalStateException(s"${codec.name} did not round-trip part $bad")
+    check(codec, decs.map(_.block), parts)
     Roundtrip(origBytes, compBytes, ct, dt)
+  }
+
+  /** The compression ratio of `block` from one untimed compress, checked
+    * bit for bit by one decompress as [[roundtrip]] checks its parts.
+    */
+  def cr(codec: Codec, block: FpBlock): Double = {
+    val bytes = codec.compress(block).bytes
+    check(codec, Seq(codec.decompress(bytes, block.precision, block.extent).block), Seq(block))
+    block.sizeBytes.toDouble / bytes.length
+  }
+
+  /** Raise `IllegalStateException`, naming `codec` and the first part that
+    * differs, unless every decoded part equals its input.
+    */
+  private def check(codec: Codec, decoded: Seq[FpBlock], parts: Seq[FpBlock]): Unit = {
+    // Arrays.equals: `sameElements` would box every value it compares.
+    val bad = decoded.iterator.zip(parts).indexWhere { case (d, p) => !java.util.Arrays.equals(d.bits, p.bits) }
+    if (bad >= 0) throw new IllegalStateException(s"${codec.name} did not round-trip part $bad")
   }
 }

@@ -1,7 +1,7 @@
 package repro.harness.tables
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{CodecRegistry, FpBlock}
+import repro.core.CodecRegistry
 import repro.data.FcDatasets
 import repro.harness.{CompressionBench, Measure}
 import repro.stats.MannWhitney
@@ -26,9 +26,8 @@ object Table9 {
 
     val results = DimAwareMethods.map { name =>
       val codec = CodecRegistry.byName(name)
-      def cr(b: FpBlock) = Measure.roundtrip(codec, Seq(b), 1).cr
-      val md = blocks.map(cr)
-      val od = blocks.map(b => cr(b.as1d))
+      val md    = blocks.map(Measure.cr(codec, _))
+      val od    = blocks.map(b => Measure.cr(codec, b.as1d))
       MethodResult(name,
                    CompressionBench.harmonicMean(md),
                    CompressionBench.harmonicMean(od),

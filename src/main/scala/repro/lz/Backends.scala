@@ -1,11 +1,13 @@
 package repro.lz
 
+import java.lang.invoke.MethodHandles
 import java.lang.ref.Cleaner
+import java.nio.ByteOrder
 
 import net.jpountz.lz4.{LZ4Exception, LZ4Factory}
 import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdException}
 
-import repro.core.KeptArray
+import repro.core.{KeptArray, PositionTable}
 
 /** A dictionary coder behind bitshuffle and nvCOMP::LZ4: one shell for both
   * libraries. The shell owns what the two share: the worst-case output
@@ -59,26 +61,182 @@ sealed abstract class LzBackend(name: String) extends Serializable {
   }
 }
 
-/** LZ4 block codec via lz4-java (already on the Spark classpath).
+/** LZ4 block codec, used by bitshuffle::LZ4 and the nvCOMP::LZ4 substitute.
+  * It writes the streams of lz4-java's fast Java compressor (LZ4's fast
+  * mode, which bitshuffle's C binding also uses), so that compression and
+  * decompression throughput stay in the paper's observed balance.
   *
-  * Used by bitshuffle::LZ4 and the nvCOMP::LZ4 substitute. We use the fast
-  * compressor — bitshuffle's C binding does the same — so compression and
-  * decompression throughput stay in the paper's observed balance. Decoding
-  * uses the safe decompressor, which is bounded by the part's length.
+  * Inputs shorter than 65 547 bytes (lz4-java's `LZ4_64K_LIMIT`), which
+  * covers every part a codec writes, go to [[compress64k]]: our port of
+  * `LZ4JavaUnsafeCompressor.compress64k` from lz4-java 1.8.0 (Apache
+  * License 2.0; Copyright Adrien Grand and the lz4-java contributors),
+  * itself a port of the LZ4 library's fast block compressor (BSD 2-Clause
+  * License; Copyright Yann Collet). It writes the same bytes, but keeps its
+  * 8 192-slot hash table per thread in a [[repro.core.PositionTable]] where
+  * lz4-java allocates and zeroes a `short[8192]` on every call: a slot an
+  * earlier call wrote reads as offset 0, as a zero slot of lz4-java's fresh
+  * table does. Longer inputs (only perfbench's `lz.lz4` probe on whole
+  * blocks sends them) go to lz4-java's fast compressor, whose general coder
+  * takes over at the same split.
+  *
+  * Decoding uses lz4-java's safe decompressor, which is bounded by the
+  * part's length.
   */
 object Lz4Backend extends LzBackend("LZ4") {
   private val factory      = LZ4Factory.fastestJavaInstance()
   private val compressor   = factory.fastCompressor()
   private val decompressor = factory.safeDecompressor()
 
+  /** lz4-java's `LZ4Constants`. */
+  private final val Limit64k     = 65547
+  private final val MinMatch     = 4
+  private final val LastLiterals = 5
+  private final val MfLimit      = 12
+  private final val MinLength    = 13
+  private final val HashLog64k   = 13
+  private final val SkipStrength = 6
+  private final val MlBits       = 4
+  private final val Mask4        = 15 // ML_MASK and RUN_MASK
+
+  private val tables = PositionTable.perThread(1 << HashLog64k)
+
+  private val ShortLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Short]], ByteOrder.LITTLE_ENDIAN)
+  private val IntLE   = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.LITTLE_ENDIAN)
+  private val LongLE  = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+
   protected def bound(len: Int): Int = compressor.maxCompressedLength(len)
 
   protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int =
-    compressor.compress(in, off, len, out, 0, max)
+    if (len < Limit64k) compress64k(in, off, len, out)
+    else compressor.compress(in, off, len, out, 0, max)
 
   protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
     try decompressor.decompress(in, off, len, out, outOff, outLen)
     catch { case e: LZ4Exception => malformed(len, e) }
+
+  private def readInt(b: Array[Byte], i: Int): Int = (IntLE.get(b, i): Int)
+
+  private def hash64k(word: Int): Int = (word * -1640531535) >>> (32 - HashLog64k)
+
+  /** Code `src(srcOff until srcOff + srcLen)`, `srcLen` below [[Limit64k]],
+    * into `dest` from 0, which holds at least `bound(srcLen)` bytes; the
+    * bytes written. Positions fit the 16 bits of lz4-java's slots: none
+    * past `srcLen - MfLimit` is hashed.
+    */
+  private def compress64k(src: Array[Byte], srcOff: Int, srcLen: Int, dest: Array[Byte]): Int = {
+    val srcEnd = srcOff + srcLen
+    if (srcLen < MinLength) return lastLiterals(src, srcOff, srcEnd, dest, 0)
+    val srcLimit = srcEnd - LastLiterals
+    val mfLimit  = srcEnd - MfLimit
+    val table    = tables.get
+    val slots    = table.slots
+    val toSlot   = table.base(srcLen) - srcOff // a slot holds its position in `src` plus this
+    var anchor   = srcOff
+    var sOff     = srcOff + 1
+    var dOff     = 0
+
+    while (sOff < mfLimit) {
+      // Find a match, probing further apart the longer none is found.
+      var forwardOff    = sOff
+      var step          = 1
+      var searchMatchNb = 1 << SkipStrength
+      var matchOff      = 0
+      var word          = 0
+      do {
+        sOff = forwardOff
+        forwardOff += step
+        step = searchMatchNb >>> SkipStrength
+        searchMatchNb += 1
+        if (forwardOff > mfLimit) return lastLiterals(src, anchor, srcEnd, dest, dOff)
+        word = readInt(src, sOff)
+        val h = hash64k(word)
+        matchOff = math.max(slots(h) - toSlot, srcOff) // a stale slot: offset 0
+        slots(h) = sOff + toSlot
+      } while (readInt(src, matchOff) != word)
+
+      // Extend the match backwards over the pending literals.
+      while (matchOff > srcOff && sOff > anchor && src(matchOff - 1) == src(sOff - 1)) {
+        matchOff -= 1
+        sOff -= 1
+      }
+
+      // The token, written once its match length is known, then the literals.
+      val runLen   = sOff - anchor
+      var tokenOff = dOff
+      var token    = math.min(runLen, Mask4) << MlBits
+      dOff = if (runLen >= Mask4) writeLen(runLen - Mask4, dest, dOff + 1) else dOff + 1
+      // lz4-java's wild copy: whole 8-byte words, whose excess bytes later
+      // writes overwrite; `bound` leaves room for them.
+      var k = 0
+      while (k < runLen) { LongLE.set(dest, dOff + k, (LongLE.get(src, anchor + k): Long)); k += 8 }
+      dOff += runLen
+
+      // Matches, each followed at once by the next one found where it ends.
+      var matching = true
+      while (matching) {
+        ShortLE.set(dest, dOff, (sOff - matchOff).toShort)
+        dOff += 2
+        sOff += MinMatch
+        val matchLen = commonBytes(src, matchOff + MinMatch, sOff, srcLimit)
+        sOff += matchLen
+        dest(tokenOff) = (token | math.min(matchLen, Mask4)).toByte
+        if (matchLen >= Mask4) dOff = writeLen(matchLen - Mask4, dest, dOff)
+
+        if (sOff > mfLimit) matching = false // the rest are last literals
+        else {
+          slots(hash64k(readInt(src, sOff - 2))) = sOff - 2 + toSlot
+          word = readInt(src, sOff)
+          val h = hash64k(word)
+          matchOff = math.max(slots(h) - toSlot, srcOff)
+          slots(h) = sOff + toSlot
+          matching = readInt(src, matchOff) == word
+          if (matching) { tokenOff = dOff; token = 0; dOff += 1 }
+        }
+      }
+      anchor = sOff
+      sOff += 1
+    }
+    lastLiterals(src, anchor, srcEnd, dest, dOff)
+  }
+
+  /** The literals `src(anchor until srcEnd)` as the last sequence at
+    * `dest(dOff)`; the end of the stream.
+    */
+  private def lastLiterals(src: Array[Byte], anchor: Int, srcEnd: Int, dest: Array[Byte], dOff: Int): Int = {
+    val runLen = srcEnd - anchor
+    var d      = dOff + 1
+    if (runLen >= Mask4) {
+      dest(dOff) = (Mask4 << MlBits).toByte
+      d = writeLen(runLen - Mask4, dest, d)
+    } else dest(dOff) = (runLen << MlBits).toByte
+    System.arraycopy(src, anchor, dest, d, runLen)
+    d + runLen
+  }
+
+  /** The bytes at `ref` and `sOff` that match, up to `limit`, compared a
+    * word at a time while whole words fit.
+    */
+  private def commonBytes(src: Array[Byte], ref: Int, sOff: Int, limit: Int): Int = {
+    var r = ref
+    var s = sOff
+    while (s <= limit - 8) {
+      val diff = (LongLE.get(src, s): Long) ^ (LongLE.get(src, r): Long)
+      if (diff != 0) return s - sOff + (java.lang.Long.numberOfTrailingZeros(diff) >>> 3)
+      r += 8
+      s += 8
+    }
+    while (s < limit && src(r) == src(s)) { r += 1; s += 1 }
+    s - sOff
+  }
+
+  /** A length's extension bytes: 255s, then the rest. */
+  private def writeLen(len: Int, dest: Array[Byte], dOff: Int): Int = {
+    var l = len
+    var d = dOff
+    while (l >= 255) { dest(d) = -1; d += 1; l -= 255 }
+    dest(d) = l.toByte
+    d + 1
+  }
 }
 
 /** zstd block codec via zstd-jni (already on the Spark classpath).

@@ -15,10 +15,12 @@ import repro.core.{BitReader => _, _}
   * The decoder stops when the known output length is reached, so the final
   * sequence legitimately carries no match.
   *
-  * The 2^16-entry `head` table is per thread and reused across calls (see
-  * [[repro.core.ReusedTable]]). Every position 0..n-4 is linked into its hash
-  * chain in order, whether or not a match later covers it, so the chain a
-  * search at `i` walks depends only on the input and starts at `prev(i)`.
+  * The 2^16-entry `head` table is per thread and never cleared between calls
+  * (see [[repro.core.PositionTable]]): a slot an earlier call wrote reads as
+  * a negative position, which ends a chain as "none" does. Every position
+  * 0..n-4 is linked into its hash chain in order, whether or not a match
+  * later covers it, so the chain a search at `i` walks depends only on the
+  * input and starts at `prev(i)`.
   * The links are therefore built in a forward pass ahead of the search, up
   * to 64 Ki positions at a time, and the search never reads `head`. `prev`
   * is a ring of `min(n, 128 Ki)` links, position `p`'s link at
@@ -42,19 +44,8 @@ object Lza6 {
     */
   private val Links     = Window << 1
 
-  /** Most recent position of each 4-byte hash, -1 for none. */
-  private final class Head extends ReusedTable(1 << HashBits) {
-    val slots = new Array[Int](1 << HashBits)
-    protected def fill(): Unit = java.util.Arrays.fill(slots, -1)
-
-    /** Only positions 0..len-4 are ever inserted. */
-    def reset(in: Array[Byte]): Unit = {
-      var i = 0
-      while (i + MinMatch <= in.length) { slots(hash(word(in, i))) = -1; i += 1 }
-    }
-  }
-
-  private val heads = ThreadLocal.withInitial[Head](() => new Head)
+  /** Most recent position of each 4-byte hash. */
+  private val heads = PositionTable.perThread(1 << HashBits)
 
   private val rings   = KeptArray.perThread[Int](4)
   private val outputs = ThreadLocal.withInitial[ByteBuf](() => new ByteBuf)
@@ -99,11 +90,14 @@ object Lza6 {
     * no more than `bestLen`, so it could neither be emitted nor replace the
     * best match.
     */
-  def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
-    val n     = in.length
+  def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = compress(in, in.length)
+
+  /** Compress `in(0 until n)`. */
+  def compress(in: Array[Byte], n: Int): (Array[Byte], WorkProfile) = {
     val seq   = new Sequences(in, outputs.get.restart(n / 2 + 64))
-    val table = heads.get.acquire(n)
+    val table = heads.get
     val head  = table.slots
+    val base  = table.base(n)
     val prev  = rings.get.atLeast(math.min(n, Links))
     val ring  = Links - 1
     val last  = n - MinMatch // the last position with a 4-byte word
@@ -118,7 +112,7 @@ object Lza6 {
         var w  = word(in, built) >>> 8 // the word rolls in one byte per position
         while (built < to) {
           w = (w << 8) | (in(built + 3) & 0xff)
-          val h = hash(w); prev(built & ring) = head(h); head(h) = built; built += 1
+          val h = hash(w); prev(built & ring) = head(h) - base; head(h) = built + base; built += 1
         }
       }
       var cand    = prev(i & ring)
@@ -142,7 +136,6 @@ object Lza6 {
       if (bestLen >= MinMatch) { seq.emit(i, bestLen, bestOff); i += bestLen }
       else i += 1
     }
-    table.release(n)(table.reset(in))
     if (seq.litFrom < n || n == 0) seq.emit(n, 0, 0)
 
     val bytes = seq.out.toArray
@@ -151,6 +144,14 @@ object Lza6 {
 
   def decompress(in: Array[Byte], outLen: Int): (Array[Byte], WorkProfile) = {
     val out = new Array[Byte](outLen)
+    (out, decompress(in, out, outLen))
+  }
+
+  /** Decompress `in` into `out(0 until outLen)`, which may hold stale bytes:
+    * a match copies only bytes this call wrote. A sequence that runs past
+    * `outLen` raises `IllegalArgumentException`.
+    */
+  def decompress(in: Array[Byte], out: Array[Byte], outLen: Int): WorkProfile = {
     var ip  = 0
     var op  = 0
     while (op < outLen) {
@@ -160,6 +161,7 @@ object Lza6 {
         var b = 255
         while (b == 255) { b = in(ip) & 0xff; ip += 1; litLen += b }
       }
+      if (litLen > outLen - op) overrun(outLen)
       System.arraycopy(in, ip, out, op, litLen); ip += litLen; op += litLen
       if (op < outLen) {
         val offset = (in(ip) & 0xff) | ((in(ip + 1) & 0xff) << 8); ip += 2
@@ -168,12 +170,16 @@ object Lza6 {
           var b = 255
           while (b == 255) { b = in(ip) & 0xff; ip += 1; matchLen += b }
         }
+        if (matchLen > outLen - op) overrun(outLen)
         val src = op - offset
         var k   = 0
         while (k < matchLen) { out(op + k) = out(src + k); k += 1 }
         op += matchLen
       }
     }
-    (out, WorkProfile(in.length, outLen, outLen.toLong * 2, divergent = false))
+    WorkProfile(in.length, outLen, outLen.toLong * 2, divergent = false)
   }
+
+  private def overrun(outLen: Int): Nothing =
+    throw new IllegalArgumentException(s"LZa6 stream runs past its $outLen-byte output")
 }

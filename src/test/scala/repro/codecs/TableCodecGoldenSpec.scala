@@ -9,9 +9,10 @@ import repro.codecs.cpu.{Chimp, Pfpc, Spdp}
 /** Pins the exact compressed bytes of the codecs that keep per-thread hash or
   * index tables across calls (pFPC at 1, 4 and 8 threads, SPDP through LZa6,
   * Chimp) by the CRC32 of each stream. The inputs include 4 KiB pages and
-  * tiny blocks, which take the walk-back reset path, and one mixed
-  * large/small sequence on one thread: a table left dirty by any call would
-  * change the bytes of a later one.
+  * tiny blocks, which take pFPC's walk-back reset path and meet the stale
+  * slots of LZa6's and Chimp's position tables, and one mixed large/small
+  * sequence on one thread: a slot read wrongly after any call would change
+  * the bytes of a later one.
   */
 class TableCodecGoldenSpec extends SparkSpec {
   import TableCodecGoldenSpec._
@@ -43,8 +44,8 @@ object TableCodecGoldenSpec {
     "tail-7-single"    -> TestInputs.randomS(7),
   )
 
-  /** Large blocks (tables refilled in full) interleaved with small ones
-    * (tables reset slot by slot), each compressed then decompressed on the
+  /** Large blocks (pFPC's tables refilled in full) interleaved with small
+    * ones (reset slot by slot), each compressed then decompressed on the
     * calling thread. The integer-valued pair targets Chimp: a stale index
     * only changes its stream for a value whose low 14 bits are zero, met
     * before any other such value in the block.

@@ -25,9 +25,9 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
       val failure = ranges.collectFirst(Function.unlift { case (from, until) =>
         val oracle = BytePathBitshuffle.shuffle(raw, from, until, elemSize)
         val got    = new Array[Byte](until - from)
-        BitshuffleBase.shuffle(bits, from / elemSize, got, elemSize)
+        BitshuffleBase.shuffle(bits, from / elemSize, got, got.length, elemSize)
         val back = new Array[Long](n)
-        BitshuffleBase.unshuffle(oracle, back, from / elemSize, elemSize)
+        BitshuffleBase.unshuffle(oracle, oracle.length, back, from / elemSize, elemSize)
         if (!java.util.Arrays.equals(got, oracle)) Some(s"shuffle of bytes $from until $until differs")
         else if (!java.util.Arrays.equals(back, from / elemSize, until / elemSize, bits, from / elemSize, until / elemSize))
           Some(s"unshuffle of bytes $from until $until differs")

@@ -33,6 +33,39 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4)) // a kept array stays readable
   }
 
+  test("ByteBuf and BitWriter copyTo write the toArray bytes at an offset and end the stream as toArray does") {
+    val b = new ByteBuf(4)
+    b.write(Array[Byte](1, 2, 3), 0, 3)
+    val w = new BitWriter(4)
+    w.writeBits(0x5a5L, 12) // one whole byte and 4 pending bits
+    val dest = Array.fill[Byte](7)(9)
+    b.copyTo(dest, 1)
+    w.copyTo(dest, 4)
+    assert(dest.toSeq == Seq[Byte](9, 1, 2, 3, 0x5a, 0x50, 9))
+    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    b.restart(16).write(big, 0, big.length)
+    val copy = new Array[Byte](big.length)
+    b.copyTo(copy, 0)
+    assert(copy.sameElements(big))
+    intercept[NullPointerException](b.toArray)
+  }
+
+  test("PositionTable: each base lies above every stored value, and the table refills before passing Int.MaxValue") {
+    val t  = new PositionTable(4, Int.MaxValue - 25)
+    val b1 = t.base(10)
+    t.slots(0) = b1 + 9 // the last position of a 10-position call
+    val b2 = t.base(10)
+    assert(b1 == Int.MaxValue - 25 && b2 == b1 + 10 && t.slots(0) < b2)
+    t.slots(1) = b2 + 9
+    val b3 = t.base(5) // ends exactly at Int.MaxValue
+    assert(b3 == Int.MaxValue - 5 && t.slots.forall(_ < b3))
+    t.slots(2) = b3 + 4
+    val b4 = t.base(1) // would pass Int.MaxValue: the table starts over
+    assert(b4 == 1 && t.slots.forall(_ == 0))
+    t.slots(3) = b4
+    assert(t.base(3) == 2 && t.slots.forall(_ < 2))
+  }
+
   test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
     val wordGen = for {
       n <- Gen.oneOf(1, 2, 4, 8)

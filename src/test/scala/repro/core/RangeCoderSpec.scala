@@ -9,7 +9,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
     val enc = new RangeEncoder
     val em  = new AdaptiveModel(alphabet)
     symbols.foreach(em.encodeSymbol(enc, _))
-    val bytes = enc.finish()
+    val bytes = enc.finish().toArray
     val dec = new RangeDecoder(bytes, 0, bytes.length)
     val dm  = new AdaptiveModel(alphabet)
     symbols.map(_ => dm.decodeSymbol(dec))
@@ -27,7 +27,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
     val enc  = new RangeEncoder
     val m    = new AdaptiveModel(65)
     syms.foreach(m.encodeSymbol(enc, _))
-    val bytes = enc.finish()
+    val bytes = enc.finish().toArray
     assert(roundtrip(syms, 65) == syms)
     // ~90% of symbols are '3': an adaptive coder must beat 1 byte/symbol easily
     assert(bytes.length < syms.length / 2, s"poor compression: ${bytes.length}")
@@ -62,7 +62,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
     val enc   = new RangeEncoder
     val em    = new AdaptiveModel(65)
     syms.foreach(em.encodeSymbol(enc, _))
-    val bytes = enc.finish()
+    val bytes = enc.finish().toArray
     def decode(end: Int): (Seq[Int], Int) = {
       val dec = new RangeDecoder(bytes, 0, end)
       val dm  = new AdaptiveModel(65)

@@ -1,0 +1,63 @@
+package repro.lz
+
+import repro.{PropSupport, SparkSpec}
+import repro.codecs.TestInputs
+import repro.codecs.cpu.BitshuffleBase
+import org.scalacheck.{Gen, Prop}
+
+/** [[Lz4Backend]]'s port of lz4-java's 64 KiB coder against lz4-java itself
+  * ([[Lz4JavaFast]]). The calls run one after another on one thread, so
+  * each finds the hash table as earlier calls of other lengths left it.
+  */
+class Lz4BackendSpec extends SparkSpec with PropSupport {
+  import Lz4BackendSpec._
+
+  test("property: the port writes lz4-java's bytes for 0 to 65 546 bytes at non-zero offsets") {
+    val gen = for {
+      len  <- Gen.frequency(2 -> Gen.choose(0, 16), 3 -> Gen.choose(17, 5000), 2 -> Gen.choose(5001, 65546),
+                            2 -> Gen.oneOf(12, 13, 4096, 65535, 65536, 65546))
+      kind <- Gen.oneOf(Kinds)
+      off  <- Gen.choose(1, 100)
+      seed <- Gen.choose(Long.MinValue, Long.MaxValue)
+    } yield (len, kind, off, seed)
+    checkProp(Prop.forAllNoShrink(gen) { case (len, kind, off, seed) =>
+      val in = framed(input(kind, len, seed), off)
+      Prop.propBoolean(java.util.Arrays.equals(Lz4Backend.compress(in, off, len), Lz4JavaFast.compress(in, off, len))) :|
+        s"len=$len kind=$kind off=$off seed=$seed"
+    }, minTests = 150)
+  }
+
+  test("inputs of 65 547 bytes and more are coded as lz4-java codes them") {
+    for (len <- Seq(65547, 200000); kind <- Kinds) {
+      val in = framed(input(kind, len, len.toLong), 5)
+      assert(java.util.Arrays.equals(Lz4Backend.compress(in, 5, len), Lz4JavaFast.compress(in, 5, len)), s"len=$len kind=$kind")
+      assert(Lz4Backend.decompress(Lz4Backend.compress(in, 5, len), len).sameElements(in.slice(5, 5 + len)))
+    }
+  }
+}
+
+object Lz4BackendSpec {
+  val Kinds: Seq[String] = Seq("random", "runs", "shuffled")
+
+  /** `len` bytes from `seed`: uniform, runs of 2-4 byte values, or the
+    * bitshuffled bytes of a page of random-walk or two-decimal doubles.
+    */
+  def input(kind: String, len: Int, seed: Long): Array[Byte] = kind match {
+    case "random" => Lza6Spec.input(len, 0, seed)
+    case "runs"   => Lza6Spec.input(len, 2 + (seed & 1).toInt + (seed >>> 63).toInt, seed)
+    case _ =>
+      val n     = math.max(1, (len + 7) / 8)
+      val block = if ((seed & 1) == 0) TestInputs.randomWalkD(n, seed) else TestInputs.decimalD(n, 2, 0, seed)
+      val out   = new Array[Byte](n * 8)
+      BitshuffleBase.shuffle(block.bits, 0, out, out.length, 8)
+      out.take(len)
+  }
+
+  /** `data` at offset `off`, between bytes copied from it, so that a coder
+    * that read outside its range would find matches there.
+    */
+  def framed(data: Array[Byte], off: Int): Array[Byte] = {
+    def fill(n: Int) = Array.tabulate[Byte](n)(i => if (data.isEmpty) 0x5a else data(i % data.length))
+    fill(off) ++ data ++ fill(16)
+  }
+}

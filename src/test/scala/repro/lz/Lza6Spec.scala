@@ -116,6 +116,20 @@ class Lza6Spec extends SparkSpec with PropSupport {
     }
   }
 
+  test("a one-thread sequence of empty, short, 4 KiB, 64 KiB and 256 KiB inputs equals the oracle call by call") {
+    // Prefixes of one input: a `head` slot a longer call left behind would
+    // offer the short calls in-window candidates with matching bytes.
+    for (symbols <- Seq(0, 3)) {
+      val big = Lza6Spec.input(256 << 10, symbols, 31L + symbols)
+      for ((n, k) <- Seq(256 << 10, 4096, 0, 7, 64 << 10, 12, 4096, 256 << 10, 3, 64 << 10, 0, 4096).zipWithIndex) {
+        val in = big.take(n)
+        val (bytes, work) = Lza6.compress(in)
+        val (oracleBytes, oracleWork) = FullPrevLza6.compress(in)
+        assert(java.util.Arrays.equals(bytes, oracleBytes) && work == oracleWork, s"symbols=$symbols call $k: n=$n")
+      }
+    }
+  }
+
   test("backends: LZ4 roundtrip") {
     val rng = new scala.util.Random(6)
     val in  = Array.fill(10000)((rng.nextInt(8) + 'a').toByte)
