@@ -14,8 +14,8 @@ import repro.lz.{Lz4Backend, LzBackend, ZstdBackend}
   * all values become consecutive bytes. The shuffled stream is then encoded
   * per compression block by `backend`, LZ4 or zstd. Blocks compress
   * independently, so thread-level parallelism distributes blocks over a pool
-  * (Tables 7/8). Compression blocks are a fixed 64 KiB; each is shuffled
-  * into, or decoded into, a per-thread array (see [[repro.core.KeptArray]]).
+  * (Tables 7/8). Compression blocks are a fixed 64 KiB, each shuffled into
+  * or unshuffled from its staged bytes ([[LzBackend.compressParts]]).
   */
 abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends ThreadedCodec {
   import BitshuffleBase._
@@ -25,12 +25,9 @@ abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends Thre
   override def compress(block: FpBlock): Compressed = {
     val elemSize = block.precision.bytes
     val rawLen   = block.n * elemSize
-    val parts = Parallel.map(Frame.fixedRanges(rawLen, BlockBytes), threads) { case (from, until) =>
-      val shuffled = shuffledParts.get.atLeast(until - from)
+    val bytes = backend.compressParts(rawLen, BlockBytes, threads) { (from, until, shuffled) =>
       shuffle(block.bits, from / elemSize, shuffled, until - from, elemSize)
-      backend.compress(shuffled, 0, until - from)
     }
-    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(rawLen.toLong * 3, bytes.length,
                                   rawLen.toLong * 10, divergent = false))
   }
@@ -39,13 +36,8 @@ abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends Thre
     val n        = extent.product.toInt
     val elemSize = precision.bytes
     val rawLen   = n * elemSize
-    val ranges   = Frame.fixedRanges(rawLen, BlockBytes)
-    val offsets  = Frame.read(data, ranges.length, ranges.length)
     val bits     = new Array[Long](n)
-    Parallel.map(ranges.indices, threads) { bi =>
-      val (from, until) = ranges(bi)
-      val shuffled = shuffledParts.get.atLeast(until - from)
-      backend.decompress(data, offsets(bi), offsets(bi + 1) - offsets(bi), shuffled, 0, until - from)
+    backend.decompressParts(data, rawLen, BlockBytes, threads) { (from, until, shuffled) =>
       unshuffle(shuffled, until - from, bits, from / elemSize, elemSize)
     }
     Decompressed(FpBlock(precision, extent, bits),
@@ -82,11 +74,6 @@ object BitshuffleBase {
   private val Group = 64
 
   private val LongLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
-
-  /** One thread's shuffled bytes of a compression block, coded from or
-    * decoded into (see [[KeptArray]]).
-    */
-  private val shuffledParts = KeptArray.perThread[Byte](1)
 
   /** Shuffle the `len / elemSize` values of `bits` from `first` on into
     * `out(0 until len)`, chunk by chunk.

@@ -17,9 +17,9 @@ import repro.core._
   *            the stored ones — store the (w - lz) low bits
   *   - `11` : same but new leading-zero count — store 3-bit code then bits
   *
-  * The encoder's index table and output are per thread and reused across
-  * calls (see [[repro.core.PositionTable]] and [[repro.core.KeptArray]]).
-  * A stale index slot reads as a negative position, which matches nothing.
+  * The encoder's index table and output are the thread's
+  * [[repro.core.Scratch.positions]] and [[repro.core.Scratch.bits]]. A stale
+  * index slot reads as a negative position, which matches nothing.
   * Leading-zero counts are rounded through lookup tables, as in the
   * reference implementation.
   */
@@ -32,12 +32,13 @@ final class Chimp extends Codec {
   override def compress(block: FpBlock): Compressed = {
     val w       = block.precision.bits
     val lenBits = if (w == 64) 6 else 5
-    val out     = writers.get.restart(block.n * block.precision.bytes / 2 + 64)
+    val scratch = Scratch.get
+    val out     = scratch.bits.restart(block.n * block.precision.bytes / 2 + 64)
     val vals    = block.bits
     val stored  = new Array[Long](PrevValues)
-    val table   = indexTables.get
+    val table   = scratch.positions
+    val base    = table.base(vals.length, (KeyMask + 1).toInt)
     val indices = table.slots
-    val base    = table.base(vals.length)
     var storedLz = Int.MaxValue
     var ops      = 0L
 
@@ -156,10 +157,4 @@ object Chimp {
   /** Leading-zero count of `x` in a w-bit word, rounded down to a bucket. */
   private[cpu] def leadBucket(x: Long, w: Int): Int =
     LeadRound(java.lang.Long.numberOfLeadingZeros(x) - (64 - w))
-
-  /** The encoder's index of the last position holding each low-bits key. */
-  private val indexTables = PositionTable.perThread((KeyMask + 1).toInt)
-
-  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
-  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
 }

@@ -16,11 +16,13 @@ import repro.core._
   * 4. Copy the remaining significant bits verbatim.
   *
   * fpzip is a serial method; no thread parallelism is used. Its two
-  * writers, both live at once, are each kept per thread across calls (see
-  * [[repro.core.KeptArray]]).
+  * writers, both live at once, are the thread's [[repro.core.Scratch.buf]]
+  * (the range-coded symbols) and [[repro.core.Scratch.bits]] (the verbatim
+  * bits); the stream joins their bytes behind the symbols' 4-byte length,
+  * each copied once, straight from its writer.
   */
 final class Fpzip extends Codec {
-  import Fpzip.{Lorenzo, writers}
+  import Fpzip.Lorenzo
 
   override def name: String     = "fpzip"
   override def platform: String = "CPU"
@@ -30,10 +32,10 @@ final class Fpzip extends Codec {
     val mapped = new Array[Long](block.n)
     var i      = 0
     while (i < mapped.length) { mapped(i) = mapOrdered(block.bits(i), w); i += 1 }
-    val kept   = writers.get
-    val enc    = new RangeEncoder(kept.symbols.restart(block.n / 2 + 64))
+    val kept   = Scratch.get
+    val enc    = new RangeEncoder(kept.buf.restart(block.n / 2 + 64))
     val model  = new AdaptiveModel(w + 1)
-    val raw    = kept.raw.restart(block.n * block.precision.bytes / 2 + 64)
+    val raw    = kept.bits.restart(block.n * block.precision.bytes / 2 + 64)
 
     val lorenzo = new Lorenzo(block.extent)
     i = 0
@@ -103,17 +105,6 @@ final class Fpzip extends Codec {
 }
 
 object Fpzip {
-  /** One thread's writers: the range-coded symbols and the verbatim bits.
-    * The stream joins their bytes behind the symbols' 4-byte length, each
-    * copied once, straight from its writer.
-    */
-  private final class Writers {
-    val symbols = new ByteBuf
-    val raw     = new BitWriter
-  }
-
-  private val writers = ThreadLocal.withInitial[Writers](() => new Writers)
-
   /** Lorenzo prediction from previously coded neighbors over `extent`
     * (fastest-varying dimension last; beyond three, the last two dimensions
     * form the plane). Boundary cells use the scan-order predecessor, and the

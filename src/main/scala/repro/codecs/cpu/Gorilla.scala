@@ -17,19 +17,16 @@ import repro.core._
   * field shrinks to 5 bits for 32-bit words, and a stored length of 0 means
   * "full word" since w does not fit its own field).
   *
-  * The encoder's output is per thread and reused across calls (see
-  * [[repro.core.KeptArray]]).
+  * The encoder's output is the thread's [[repro.core.Scratch.bits]].
   */
 final class Gorilla extends Codec {
-  import Gorilla.writers
-
   override def name: String     = "Gorilla"
   override def platform: String = "CPU"
 
   override def compress(block: FpBlock): Compressed = {
     val w       = block.precision.bits
     val lenBits = if (w == 64) 6 else 5
-    val out     = writers.get.restart(block.n * block.precision.bytes / 2 + 64)
+    val out     = Scratch.get.bits.restart(block.n * block.precision.bytes / 2 + 64)
     val vals    = block.bits
     var prev    = 0L
     var prevLz  = -1
@@ -102,9 +99,4 @@ final class Gorilla extends Codec {
 
   private def leadingZeros(x: Long, w: Int): Int =
     java.lang.Long.numberOfLeadingZeros(x) - (64 - w)
-}
-
-object Gorilla {
-  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
-  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
 }

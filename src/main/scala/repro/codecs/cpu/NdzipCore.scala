@@ -149,25 +149,29 @@ object NdzipCore {
 
   // ------------------------------------------------------------ encoding ---
 
-  /** Chunked bit transpose + zero-word elimination over one tile buffer;
-    * transposes `work` in place.
+  /** Chunked bit transpose + zero-word elimination over one tile buffer,
+    * into `out` from `off`, which has room for [[tileBound]]; the bytes
+    * written. Transposes `work` in place.
     */
-  private def encodeResiduals(work: Array[Long], w: Int): Array[Byte] = {
-    val out   = new ByteBuf(work.length * w / 8 / 2 + 64)
+  private def encodeResiduals(work: Array[Long], w: Int, out: Array[Byte], off: Int): Int = {
     val bytes = w / 8
+    var pos   = off
     var base  = 0
-    while (base < work.length) {
+    while (base < BlockElems) {
       BitTranspose.square(work, base, w)
       var head = 0L
       var i = 0
       while (i < w) { if (work(base + i) != 0) head |= 1L << i; i += 1 }
-      out.writeWordLE(head, bytes)
+      ByteBuf.writeWordLE(out, pos, head, bytes); pos += bytes
       i = 0
-      while (i < w) { if (work(base + i) != 0) out.writeWordLE(work(base + i), bytes); i += 1 }
+      while (i < w) { if (work(base + i) != 0) { ByteBuf.writeWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
       base += w
     }
-    out.toArray
+    pos - off
   }
+
+  /** The most bytes a tile takes: each chunk's header and all its words. */
+  private def tileBound(w: Int): Int = BlockElems / w * (w + 1) * (w / 8)
 
   private def decodeResiduals(data: Array[Byte], off: Int, w: Int): (Array[Long], Int) = {
     val work  = new Array[Long](BlockElems)
@@ -194,7 +198,7 @@ object NdzipCore {
     * otherwise all-ones in its top bits under two's complement, which would
     * defeat the zero-word elimination after transposition.
     */
-  private def compressTile(work: Array[Long], dims: Int, w: Int): Array[Byte] = {
+  private def compressTile(work: Array[Long], dims: Int, w: Int, out: Array[Byte], off: Int): Int = {
     forwardLorenzo(work, dims, sideFor(dims), w)
     val m = Words.mask(w)
     var i = 0
@@ -203,7 +207,7 @@ object NdzipCore {
       work(i) = ((rs << 1) ^ (rs >> 63)) & m
       i += 1
     }
-    encodeResiduals(work, w)
+    encodeResiduals(work, w, out, off)
   }
 
   def decompressBlock(data: Array[Byte], off: Int, dims: Int, w: Int): (Array[Long], Int) = {
@@ -227,13 +231,12 @@ object NdzipCore {
     val w    = block.precision.bits
     val g    = geometry(block.extent)
     val vals = block.bits
-    val parts = Parallel.map((0 until g.nTiles).toIndexedSeq, threads) { t =>
+    val border = (vals.length - g.nTiles * BlockElems) * (w / 8)
+    val bytes  = Frame.write(0 until g.nTiles, threads, border)(_ => tileBound(w)) { (t, out, off) =>
       val buf = new Array[Long](BlockElems)
       moveTile(vals, buf, g, t, gather = true)
-      compressTile(buf, g.dims, w)
+      compressTile(buf, g.dims, w, out, off)
     }
-    val border = (vals.length - g.nTiles * BlockElems) * (w / 8)
-    val bytes  = Frame.write(parts, border)
     var pos    = bytes.length - border
     borderRuns(g) { (from, until) =>
       var i = from

@@ -19,25 +19,23 @@ import repro.core._
   * the way the paper ran it — the raw byte stream is reinterpreted as 64-bit
   * words (padded with zeros to a multiple of 8 bytes).
   *
-  * The FCM/DFCM tables and the chunk output are per thread and reused
-  * across calls (see [[repro.core.ReusedTable]] and
-  * [[repro.core.KeptArray]]). The decoder takes the chunk layout from the
-  * stream, so a stream decodes at any thread count.
+  * The FCM/DFCM tables are the coding thread's, reused across calls (see
+  * [[repro.core.ReusedTable]]), and each chunk is coded straight into its
+  * region of the frame ([[repro.core.Frame.write]]). The decoder takes the
+  * chunk layout from the stream, so a stream decodes at any thread count.
   */
 final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
-  import Pfpc.{dfcmHash, fcmHash, LongBE, output, tables}
+  import Pfpc.{dfcmHash, fcmHash, LongBE, tables, zeroTouched}
 
   override def name: String     = "pFPC"
   override def platform: String = "CPU"
   override def withThreads(t: Int): Codec = new Pfpc(t)
 
   override def compress(block: FpBlock): Compressed = {
-    val words  = Words.pack(block)
-    val chunks = chunkRanges(words.length, threads)
-    val parts  = Parallel.map(chunks, threads) { case (from, until) =>
-      compressChunk(words, from, until)
+    val words = Words.pack(block)
+    val bytes = Frame.write(chunkRanges(words.length, threads), threads)(r => Pfpc.worstCase(r._2 - r._1)) {
+      case ((from, until), out, off) => compressChunk(words, from, until, out, off)
     }
-    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(words.length.toLong * 8, bytes.length,
                                   words.length.toLong * 20, divergent = false))
   }
@@ -57,21 +55,20 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
                  WorkProfile(data.length, nWords.toLong * 8, nWords.toLong * 14, divergent = false))
   }
 
-  /** One chunk's stream, coded into this thread's worst-case output array:
-    * each code goes straight into its pair's shared byte, and each residual
-    * is one big-endian 8-byte store of its non-zero bytes moved to the top,
-    * of which only those bytes are kept.
+  /** One chunk's stream, coded into `out` from `off`, which has room for
+    * its worst case; the bytes written. Each code goes straight into its
+    * pair's shared byte, and each residual is one big-endian 8-byte store of
+    * its non-zero bytes moved to the top, of which only those bytes are kept.
     */
-  private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {
+  private def compressChunk(words: Array[Long], from: Int, until: Int, out: Array[Byte], off: Int): Int = {
     val n     = until - from
-    val out   = output.get.atLeast(Pfpc.worstCase(n))
-    val t     = tables.get.acquire(n)
+    val t     = tables.acquire(n)
     val fcm   = t.fcm
     val dfcm  = t.dfcm
     var fHash = 0
     var dHash = 0
     var last  = 0L
-    var op    = 0 // next byte of out
+    var op    = off // next byte of out
     var cp    = 0 // the current pair's code byte
 
     var i = from
@@ -99,8 +96,8 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
       op += 8 - lzb
       i += 1
     }
-    t.release(n)(t.reset(words, from, until))
-    java.util.Arrays.copyOf(out, op)
+    t.release(n)(zeroTouched(t, words, from, until))
+    op - off
   }
 
   /** Away from the stream's last 8 bytes, each residual is one big-endian
@@ -108,7 +105,7 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
     */
   private def decompressChunk(data: Array[Byte], offset: Int,
                               words: Array[Long], from: Int, until: Int): Unit = {
-    val t     = tables.get.acquire(until - from)
+    val t     = tables.acquire(until - from)
     val fcm   = t.fcm
     val dfcm  = t.dfcm
     var fHash = 0
@@ -146,7 +143,7 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
       }
       i += inPair
     }
-    t.release(until - from)(t.reset(words, from, until))
+    t.release(until - from)(zeroTouched(t, words, from, until))
   }
 
   // FPC's 3-bit code covers leading-zero-byte counts {0,1,2,3,5,6,7,8}:
@@ -175,40 +172,29 @@ object Pfpc {
   private def fcmHash(h: Int, v: Long): Int      = ((h << 6) ^ (v >>> 48).toInt) & TableMask
   private def dfcmHash(h: Int, delta: Long): Int = ((h << 2) ^ (delta >>> 40).toInt) & TableMask
 
-  /** One thread's FCM/DFCM table pair. */
-  private[cpu] final class Tables extends ReusedTable(1 << TableBits) {
-    val fcm  = new Array[Long](1 << TableBits)
-    val dfcm = new Array[Long](1 << TableBits)
+  /** This thread's FCM/DFCM pair. */
+  private def tables: ReusedTable = Scratch.get.fcmPair(1 << TableBits)
 
-    protected def fill(): Unit = {
-      java.util.Arrays.fill(fcm, 0L)
-      java.util.Arrays.fill(dfcm, 0L)
-    }
-
-    /** Zero the slots that coding `words(from until until)` wrote, by
-      * replaying the coder's hash recurrence.
-      */
-    def reset(words: Array[Long], from: Int, until: Int): Unit = {
-      var fHash = 0
-      var dHash = 0
-      var last  = 0L
-      var i     = from
-      while (i < until) {
-        val v = words(i)
-        fcm(fHash) = 0L
-        dfcm(dHash) = 0L
-        fHash = fcmHash(fHash, v)
-        dHash = dfcmHash(dHash, v - last)
-        last = v
-        i += 1
-      }
+  /** Zero the slots of `t` that coding `words(from until until)` wrote, by
+    * replaying the coder's hash recurrence.
+    */
+  private def zeroTouched(t: ReusedTable, words: Array[Long], from: Int, until: Int): Unit = {
+    val fcm   = t.fcm
+    val dfcm  = t.dfcm
+    var fHash = 0
+    var dHash = 0
+    var last  = 0L
+    var i     = from
+    while (i < until) {
+      val v = words(i)
+      fcm(fHash) = 0L
+      dfcm(dHash) = 0L
+      fHash = fcmHash(fHash, v)
+      dHash = dfcmHash(dHash, v - last)
+      last = v
+      i += 1
     }
   }
-
-  private val tables = ThreadLocal.withInitial[Tables](() => new Tables)
-
-  /** One thread's chunk output, up to [[KeptArray.MaxBytes]]. */
-  private val output = KeptArray.perThread[Byte](1)
 
   private val LongBE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.BIG_ENDIAN)
 

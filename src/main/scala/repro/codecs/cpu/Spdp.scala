@@ -15,8 +15,8 @@ import repro.lz.Lza6
   *   4. LZa6  — fast sliding-window LZ77 over the final residuals.
   *
   * SPDP is serial; its ratio/throughput trade-off lives in LZa6's window.
-  * The transformed bytes of a block are kept per thread (see
-  * [[repro.core.KeptArray]]).
+  * The transformed bytes of a block are the thread's
+  * [[repro.core.Scratch.staged]] array, in both directions.
   */
 final class Spdp extends Codec {
   override def name: String     = "SPDP"
@@ -28,7 +28,7 @@ final class Spdp extends Codec {
     */
   override def compress(block: FpBlock): Compressed = {
     val len = block.n * block.precision.bytes
-    val s   = Spdp.streams.get.atLeast(len)
+    val s   = Scratch.get.staged.atLeast(len)
     shuffle(block, s)
     difference(s, len)
     val (lz, lzWork) = Lza6.compress(s, len)
@@ -88,7 +88,7 @@ final class Spdp extends Codec {
     */
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen = extent.product.toInt * precision.bytes
-    val s      = Spdp.streams.get.atLeast(rawLen)
+    val s      = Scratch.get.staged.atLeast(rawLen)
     val lzWork = Lza6.decompress(data, s, rawLen)
     prefixSum(s, rawLen)
     val transformWork = WorkProfile(rawLen.toLong * 3, rawLen.toLong * 3,
@@ -141,11 +141,4 @@ final class Spdp extends Codec {
     }
     bits
   }
-}
-
-object Spdp {
-  /** One thread's transformed bytes of a block, coded from or decoded into:
-    * kept up to 64 KiB (see [[KeptArray]]).
-    */
-  private val streams = KeptArray.perThread[Byte](1)
 }

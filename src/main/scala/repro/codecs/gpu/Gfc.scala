@@ -15,12 +15,9 @@ import repro.core._
   * GFC is double-only; single-precision input is paired into 64-bit words
   * the same way the paper's harness fed it.
   *
-  * The encoder's output is per thread and reused across calls (see
-  * [[repro.core.KeptArray]]).
+  * The encoder's output is the thread's [[repro.core.Scratch.bits]].
   */
 final class Gfc extends Codec {
-  import Gfc.writers
-
   override def name: String     = "GFC"
   override def platform: String = "GPU"
 
@@ -28,7 +25,7 @@ final class Gfc extends Codec {
 
   override def compress(block: FpBlock): Compressed = {
     val words = Words.pack(block)
-    val out   = writers.get.restart(words.length * 4 + 64)
+    val out   = Scratch.get.bits.restart(words.length * 4 + 64)
     var prevLast = 0L
     var base = 0
     while (base < words.length) {
@@ -80,9 +77,4 @@ final class Gfc extends Codec {
                  WorkProfile(data.length + nWords.toLong * 8, nWords.toLong * 8,
                              nWords.toLong * 80, divergent = false))
   }
-}
-
-object Gfc {
-  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
-  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
 }

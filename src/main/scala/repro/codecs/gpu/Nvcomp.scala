@@ -11,8 +11,8 @@ import repro.lz.Lz4Backend
   * slowest GPU compressor (Observation 3) while decompression, a copy-heavy
   * loop, is not divergent (Observation 4: DT = 18.6x CT).
   *
-  * Each chunk's raw bytes are written into, or decoded into, a per-thread
-  * array (see [[repro.core.KeptArray]]).
+  * Each chunk's raw bytes are written straight from, or read straight into,
+  * the block's words ([[repro.lz.LzBackend.compressParts]]).
   */
 final class NvLz4 extends Codec {
   override def name: String     = "nv:LZ4"
@@ -22,25 +22,17 @@ final class NvLz4 extends Codec {
 
   override def compress(block: FpBlock): Compressed = {
     val rawLen = block.sizeBytes.toInt
-    val parts  = Frame.fixedRanges(rawLen, ChunkBytes).map { case (from, until) =>
-      val raw = NvLz4.chunks.get.atLeast(until - from)
+    val bytes  = Lz4Backend.compressParts(rawLen, ChunkBytes, 1) { (from, until, raw) =>
       block.writeBytes(from / block.precision.bytes, raw, until - from)
-      Lz4Backend.compress(raw, 0, until - from)
     }
-    val bytes = Frame.write(parts)
     Compressed(bytes, WorkProfile(rawLen.toLong * 4, bytes.length,
                                   rawLen.toLong * 12, divergent = true))
   }
 
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val rawLen  = extent.product.toInt * precision.bytes
-    val ranges  = Frame.fixedRanges(rawLen, ChunkBytes)
-    val offsets = Frame.read(data, ranges.length, ranges.length)
     val bits    = new Array[Long](rawLen / precision.bytes)
-    ranges.indices.foreach { i =>
-      val (from, until) = ranges(i)
-      val raw = NvLz4.chunks.get.atLeast(until - from)
-      Lz4Backend.decompress(data, offsets(i), offsets(i + 1) - offsets(i), raw, 0, until - from)
+    Lz4Backend.decompressParts(data, rawLen, ChunkBytes, 1) { (from, until, raw) =>
       FpBlock.readBytes(precision, raw, until - from, bits, from / precision.bytes)
     }
     // ~20 ops/byte: LZ4 match copies form a sequential dependency chain,
@@ -51,13 +43,6 @@ final class NvLz4 extends Codec {
   }
 }
 
-object NvLz4 {
-  /** One thread's raw bytes of a chunk, coded from or decoded into: at most
-    * 64 KiB (see [[KeptArray]]).
-    */
-  private val chunks = KeptArray.perThread[Byte](1)
-}
-
 /** nvCOMP::bitcomp substitute. Per Table 1 bitcomp's trait is
   * "transform + prediction" with the highest throughput and the lowest CR of
   * the GPU methods: we reproduce it as chunked delta prediction + zigzag +
@@ -66,12 +51,10 @@ object NvLz4 {
   *
   * Layout per 4096-value chunk: [width:1 byte][first word raw][packed deltas].
   *
-  * The encoder's output and its zigzag chunk are per thread and reused
-  * across calls (see [[repro.core.KeptArray]]).
+  * The encoder's output and its zigzag chunk are the thread's
+  * [[repro.core.Scratch.bits]] and [[repro.core.Scratch.words]].
   */
 final class NvBitcomp extends Codec {
-  import NvBitcomp.{chunks, writers}
-
   override def name: String     = "nv:btcomp"
   override def platform: String = "GPU"
 
@@ -80,8 +63,9 @@ final class NvBitcomp extends Codec {
   override def compress(block: FpBlock): Compressed = {
     val w    = block.precision.bits
     val vals = block.bits
-    val out  = writers.get.restart(vals.length * block.precision.bytes / 2 + 64)
-    val zz   = chunks.get.atLeast(math.min(Chunk, vals.length))
+    val s    = Scratch.get
+    val out  = s.bits.restart(vals.length * block.precision.bytes / 2 + 64)
+    val zz   = s.words.atLeast(math.min(Chunk, vals.length))
     var base = 0
     while (base < vals.length) {
       val len = math.min(Chunk, vals.length - base)
@@ -135,12 +119,4 @@ final class NvBitcomp extends Codec {
   }
 
   private def signExtend(v: Long, w: Int): Long = if (w == 64) v else (v << (64 - w)) >> (64 - w)
-}
-
-object NvBitcomp {
-  /** The encoder's output, one per thread (see [[BitWriter.restart]]). */
-  private val writers = ThreadLocal.withInitial[BitWriter](() => new BitWriter)
-
-  /** One thread's zigzag deltas of a chunk: at most 4096 words, 32 KiB. */
-  private val chunks = KeptArray.perThread[Long](8)
 }

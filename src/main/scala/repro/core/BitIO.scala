@@ -17,10 +17,10 @@ import java.util.Arrays
   * is read back, so a writer can start a new stream over the bytes of its
   * last one.
   *
-  * A codec keeps one writer per thread across calls and starts each stream
-  * with [[restart]], under the rule of [[KeptArray]]: the writer keeps its
-  * array only up to [[KeptArray.MaxBytes]], and `toArray` or `copyTo` is
-  * the one copy that leaves the call.
+  * Each thread keeps one writer across calls ([[Scratch.bits]]), and each
+  * stream starts with [[restart]]: the writer keeps its array only up to
+  * [[Scratch.MaxBytes]], and `toArray` or `copyTo` is the one copy that
+  * leaves the call.
   */
 final class BitWriter(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))
@@ -32,7 +32,7 @@ final class BitWriter(initialCapacity: Int = 1024) {
     * current array if that holds `capacity` and is kept (see [[toArray]]).
     */
   def restart(capacity: Int): this.type = {
-    if (buf == null || buf.length < capacity || !KeptArray.keeps(buf.length))
+    if (buf == null || buf.length < capacity || !Scratch.keeps(buf.length))
       buf = new Array[Byte](math.max(16, capacity))
     bytePos = 0
     acc = 0L
@@ -92,7 +92,7 @@ final class BitWriter(initialCapacity: Int = 1024) {
   def sizeBits: Long = bytePos.toLong * 8 + pending
 
   /** The stream as an exact-size copy. This or [[copyTo]] ends the stream:
-    * a writer whose array grew past [[KeptArray.MaxBytes]] lets go of it
+    * a writer whose array grew past [[Scratch.MaxBytes]] lets go of it
     * here, and until the next `restart` it holds no array, so a second copy
     * or a write that stores a byte throws `NullPointerException` instead of
     * returning zeros.
@@ -116,7 +116,7 @@ final class BitWriter(initialCapacity: Int = 1024) {
   /** The pending bits, left-aligned in a byte. */
   private def lastByte: Byte = (acc << (8 - pending)).toByte
 
-  private def release(): Unit = if (!KeptArray.keeps(buf.length)) buf = null
+  private def release(): Unit = if (!Scratch.keeps(buf.length)) buf = null
 }
 
 /** MSB-first bit stream reader over a byte array. Mirrors [[BitWriter]].

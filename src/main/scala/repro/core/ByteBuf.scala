@@ -8,8 +8,8 @@ import java.util.Arrays
   * dominates byte-granular encoders (FPC emits residual bytes one at a time);
   * this class is the lock-free equivalent.
   *
-  * Like a [[BitWriter]], a codec keeps one buffer per thread across calls
-  * and starts each stream with [[restart]], under the rule of [[KeptArray]].
+  * Like a [[BitWriter]], each thread keeps one buffer across calls
+  * ([[Scratch.buf]]), and each stream starts with [[restart]].
   */
 final class ByteBuf(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))
@@ -19,7 +19,7 @@ final class ByteBuf(initialCapacity: Int = 1024) {
     * current array if that holds `capacity` and is kept (see [[toArray]]).
     */
   def restart(capacity: Int): this.type = {
-    if (buf == null || buf.length < capacity || !KeptArray.keeps(buf.length))
+    if (buf == null || buf.length < capacity || !Scratch.keeps(buf.length))
       buf = new Array[Byte](math.max(16, capacity))
     len = 0
     this
@@ -47,7 +47,7 @@ final class ByteBuf(initialCapacity: Int = 1024) {
   def size: Int = len
 
   /** The bytes as an exact-size copy. This or [[copyTo]] ends the stream:
-    * a buffer whose array grew past [[KeptArray.MaxBytes]] lets go of it
+    * a buffer whose array grew past [[Scratch.MaxBytes]] lets go of it
     * here, and until the next `restart` it holds no array, so a second copy
     * or a write throws `NullPointerException` instead of returning zeros.
     */
@@ -63,7 +63,7 @@ final class ByteBuf(initialCapacity: Int = 1024) {
     release()
   }
 
-  private def release(): Unit = if (!KeptArray.keeps(buf.length)) buf = null
+  private def release(): Unit = if (!Scratch.keeps(buf.length)) buf = null
 }
 
 object ByteBuf {

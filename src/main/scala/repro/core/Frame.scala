@@ -11,23 +11,28 @@ package repro.core
   */
 object Frame {
 
-  /** The frame of `parts` followed by `trailer` bytes, in one array of
-    * exactly that size: each part is copied once, and the caller writes its
-    * own data into the last `trailer` bytes.
+  /** The frame of one part per item followed by `trailer` bytes, in one
+    * array of exactly that size, whose last `trailer` bytes the caller
+    * writes. Item `a`'s part takes at most `bound(a)` bytes, and
+    * `code(a, out, off)` codes it into `out` from `off` and returns its
+    * length. The parts are coded on `threads` threads ([[Parallel.map]]),
+    * each straight into its own region of one array that has room for every
+    * part's worst case and that this thread keeps when it fits (see
+    * [[Scratch.frame]]). One copy then writes the header and the parts.
     */
-  def write(parts: Seq[Array[Byte]], trailer: Int = 0): Array[Byte] = {
-    val head = 4 + 4 * parts.length
-    val out  = new Array[Byte](head + parts.foldLeft(0)(_ + _.length) + trailer)
-    ByteBuf.writeWordLE(out, 0, parts.length, 4)
-    val it  = parts.iterator
-    var i   = 0
-    var pos = head
-    while (it.hasNext) {
-      val p = it.next()
-      ByteBuf.writeWordLE(out, 4 + 4 * i, p.length, 4)
-      System.arraycopy(p, 0, out, pos, p.length)
-      pos += p.length
-      i += 1
+  def write[A](items: IndexedSeq[A], threads: Int, trailer: Int = 0)(bound: A => Int)(
+      code: (A, Array[Byte], Int) => Int): Array[Byte] = {
+    val starts = items.scanLeft(0L)(_ + bound(_)) // part i's region is starts(i) until starts(i + 1)
+    require(starts.last <= Int.MaxValue, s"${items.length} parts need more than ${Int.MaxValue} bytes")
+    val work = Scratch.get.frame.atLeast(starts.last.toInt)
+    val lens = Parallel.map(items.indices, threads)(i => code(items(i), work, starts(i).toInt))
+    val out  = new Array[Byte](4 + 4 * lens.length + lens.sum + trailer)
+    ByteBuf.writeWordLE(out, 0, lens.length, 4)
+    var pos = 4 + 4 * lens.length
+    for (i <- lens.indices) {
+      ByteBuf.writeWordLE(out, 4 + 4 * i, lens(i), 4)
+      System.arraycopy(work, starts(i).toInt, out, pos, lens(i))
+      pos += lens(i)
     }
     out
   }

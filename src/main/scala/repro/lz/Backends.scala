@@ -7,25 +7,27 @@ import java.nio.ByteOrder
 import net.jpountz.lz4.{LZ4Exception, LZ4Factory}
 import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdException}
 
-import repro.core.{KeptArray, PositionTable}
+import repro.core.{Frame, Parallel, Scratch}
 
 /** A dictionary coder behind bitshuffle and nvCOMP::LZ4: one shell for both
-  * libraries. The shell owns what the two share: the worst-case output
-  * buffer, kept per thread across calls (see [[repro.core.KeptArray]]), the
-  * exact-size copy each part leaves as, and the decode contract. A back end
-  * supplies only its library's calls.
+  * libraries. The shell owns what the two codecs share: their frames of
+  * fixed-size parts, each staged in the coding thread's
+  * [[repro.core.Scratch.staged]] array and coded straight into its region of
+  * the frame, and the decode contract. A back end supplies only its
+  * library's calls.
   *
   * Back ends are objects, so a codec holding one serializes as a reference
-  * to it and never carries a thread's buffer or context.
+  * to it and never carries a thread's table or context.
   */
 sealed abstract class LzBackend(name: String) extends Serializable {
-  private val output = KeptArray.perThread[Byte](1)
-
   /** The most bytes [[encode]] writes for `len` input bytes. */
-  protected def bound(len: Int): Int
+  private[lz] def bound(len: Int): Int
 
-  /** Code `in(off until off + len)` into `out(0 until max)`; the bytes written. */
-  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int
+  /** Code `in(off until off + len)` into `out` from `outOff`, which has room
+    * for `bound(len)` bytes; the bytes written. It may write anywhere in that
+    * room (zstd writes past its stream's end), and nowhere outside it.
+    */
+  private[lz] def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int): Int
 
   /** Decode `in(off until off + len)` into `out(outOff until outOff + outLen)`;
     * the bytes decoded. A malformed part raises [[malformed]].
@@ -35,14 +37,38 @@ sealed abstract class LzBackend(name: String) extends Serializable {
   protected final def malformed(len: Int, cause: Throwable): Nothing =
     throw new IllegalArgumentException(s"bad $name part of $len bytes", cause)
 
-  /** The coded part of `in(off until off + len)`. */
-  def compress(in: Array[Byte], off: Int, len: Int): Array[Byte] = {
-    val max = bound(len)
-    val buf = output.get.atLeast(max)
-    java.util.Arrays.copyOf(buf, encode(in, off, len, buf, max))
+  /** The frame of the `partBytes`-byte parts of `rawLen` raw bytes, coded on
+    * `threads` threads, each part after `stage(from, until, raw)` writes its
+    * bytes into `raw` from 0.
+    */
+  def compressParts(rawLen: Int, partBytes: Int, threads: Int)(stage: (Int, Int, Array[Byte]) => Unit): Array[Byte] =
+    Frame.write(Frame.fixedRanges(rawLen, partBytes), threads) { case (from, until) => bound(until - from) } {
+      case ((from, until), out, off) =>
+        val raw = Scratch.get.staged.atLeast(until - from)
+        stage(from, until, raw)
+        encode(raw, 0, until - from, out, off)
+    }
+
+  /** The inverse of [[compressParts]]: `unstage(from, until, raw)` reads
+    * raw bytes `from until until` from `raw` from 0.
+    */
+  def decompressParts(data: Array[Byte], rawLen: Int, partBytes: Int, threads: Int)(
+      unstage: (Int, Int, Array[Byte]) => Unit): Unit = {
+    val ranges  = Frame.fixedRanges(rawLen, partBytes)
+    val offsets = Frame.read(data, ranges.length, ranges.length)
+    Parallel.map(ranges.indices, threads) { i =>
+      val (from, until) = ranges(i)
+      val raw = Scratch.get.staged.atLeast(until - from)
+      decompress(data, offsets(i), offsets(i + 1) - offsets(i), raw, 0, until - from)
+      unstage(from, until, raw)
+    }
   }
 
-  def compress(in: Array[Byte]): Array[Byte] = compress(in, 0, in.length)
+  /** The coded `in`, outside a frame: an exact-size copy of its stream. */
+  def compress(in: Array[Byte]): Array[Byte] = {
+    val out = Scratch.get.coded.atLeast(bound(in.length))
+    java.util.Arrays.copyOf(out, encode(in, 0, in.length, out, 0))
+  }
 
   /** Decode the part `in(off until off + len)` into
     * `out(outOff until outOff + outLen)`. A part that is malformed, or that
@@ -72,10 +98,10 @@ sealed abstract class LzBackend(name: String) extends Serializable {
   * License 2.0; Copyright Adrien Grand and the lz4-java contributors),
   * itself a port of the LZ4 library's fast block compressor (BSD 2-Clause
   * License; Copyright Yann Collet). It writes the same bytes, but keeps its
-  * 8 192-slot hash table per thread in a [[repro.core.PositionTable]] where
-  * lz4-java allocates and zeroes a `short[8192]` on every call: a slot an
-  * earlier call wrote reads as offset 0, as a zero slot of lz4-java's fresh
-  * table does. Longer inputs (only perfbench's `lz.lz4` probe on whole
+  * 8 192-slot hash table in the thread's [[repro.core.Scratch.positions]]
+  * where lz4-java allocates and zeroes a `short[8192]` on every call: a
+  * stale slot reads as offset 0, as a zero slot of lz4-java's fresh table
+  * does. Longer inputs (only perfbench's `lz.lz4` probe on whole
   * blocks sends them) go to lz4-java's fast compressor, whose general coder
   * takes over at the same split.
   *
@@ -98,17 +124,15 @@ object Lz4Backend extends LzBackend("LZ4") {
   private final val MlBits       = 4
   private final val Mask4        = 15 // ML_MASK and RUN_MASK
 
-  private val tables = PositionTable.perThread(1 << HashLog64k)
-
   private val ShortLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Short]], ByteOrder.LITTLE_ENDIAN)
   private val IntLE   = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.LITTLE_ENDIAN)
   private val LongLE  = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
 
-  protected def bound(len: Int): Int = compressor.maxCompressedLength(len)
+  private[lz] def bound(len: Int): Int = compressor.maxCompressedLength(len)
 
-  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int =
-    if (len < Limit64k) compress64k(in, off, len, out)
-    else compressor.compress(in, off, len, out, 0, max)
+  private[lz] def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int): Int =
+    if (len < Limit64k) compress64k(in, off, len, out, outOff) - outOff
+    else compressor.compress(in, off, len, out, outOff, bound(len))
 
   protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
     try decompressor.decompress(in, off, len, out, outOff, outLen)
@@ -119,21 +143,21 @@ object Lz4Backend extends LzBackend("LZ4") {
   private def hash64k(word: Int): Int = (word * -1640531535) >>> (32 - HashLog64k)
 
   /** Code `src(srcOff until srcOff + srcLen)`, `srcLen` below [[Limit64k]],
-    * into `dest` from 0, which holds at least `bound(srcLen)` bytes; the
-    * bytes written. Positions fit the 16 bits of lz4-java's slots: none
-    * past `srcLen - MfLimit` is hashed.
+    * into `dest` from `destOff`, which has room for `bound(srcLen)` bytes;
+    * the end of the stream. Positions fit the 16 bits of lz4-java's slots:
+    * none past `srcLen - MfLimit` is hashed.
     */
-  private def compress64k(src: Array[Byte], srcOff: Int, srcLen: Int, dest: Array[Byte]): Int = {
+  private def compress64k(src: Array[Byte], srcOff: Int, srcLen: Int, dest: Array[Byte], destOff: Int): Int = {
     val srcEnd = srcOff + srcLen
-    if (srcLen < MinLength) return lastLiterals(src, srcOff, srcEnd, dest, 0)
+    if (srcLen < MinLength) return lastLiterals(src, srcOff, srcEnd, dest, destOff)
     val srcLimit = srcEnd - LastLiterals
     val mfLimit  = srcEnd - MfLimit
-    val table    = tables.get
+    val table    = Scratch.get.positions
+    val toSlot   = table.base(srcLen, 1 << HashLog64k) - srcOff // a slot holds its position in `src` plus this
     val slots    = table.slots
-    val toSlot   = table.base(srcLen) - srcOff // a slot holds its position in `src` plus this
     var anchor   = srcOff
     var sOff     = srcOff + 1
-    var dOff     = 0
+    var dOff     = destOff
 
     while (sOff < mfLimit) {
       // Find a match, probing further apart the longer none is found.
@@ -165,8 +189,9 @@ object Lz4Backend extends LzBackend("LZ4") {
       var tokenOff = dOff
       var token    = math.min(runLen, Mask4) << MlBits
       dOff = if (runLen >= Mask4) writeLen(runLen - Mask4, dest, dOff + 1) else dOff + 1
-      // lz4-java's wild copy: whole 8-byte words, whose excess bytes later
-      // writes overwrite; `bound` leaves room for them.
+      // lz4-java's wild copy: whole 8-byte words. At least 8 bytes follow
+      // the literals (an offset, then at least a token and 5 last
+      // literals), which overwrite the excess.
       var k = 0
       while (k < runLen) { LongLE.set(dest, dOff + k, (LongLE.get(src, anchor + k): Long)); k += 8 }
       dOff += runLen
@@ -247,9 +272,10 @@ object Lz4Backend extends LzBackend("LZ4") {
   * implementation ships with.
   *
   * Each thread keeps one compression and one decompression context across
-  * calls: creating them costs more than coding a 4 KiB page. They live here
-  * behind a `ThreadLocal`, never in a codec field, because a codec is
-  * `Serializable` and shared by every thread that calls it. zstd starts every
+  * calls: creating them costs more than coding a 4 KiB page. They hold
+  * native memory, which a `Cleaner` frees once the thread ends, so they live
+  * here behind their own `ThreadLocal`, not in [[repro.core.Scratch]].
+  * zstd starts every
   * frame from the context's parameters, so reuse changes no output, and a
   * call that fails leaves nothing behind for the next one.
   */
@@ -273,10 +299,10 @@ object ZstdBackend extends LzBackend("zstd") {
     ctx
   }
 
-  protected def bound(len: Int): Int = Zstd.compressBound(len.toLong).toInt
+  private[lz] def bound(len: Int): Int = Zstd.compressBound(len.toLong).toInt
 
-  protected def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], max: Int): Int =
-    contexts.get.compress.compressByteArray(out, 0, max, in, off, len)
+  private[lz] def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int): Int =
+    contexts.get.compress.compressByteArray(out, outOff, bound(len), in, off, len)
 
   protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
     try contexts.get.decompress.decompressByteArray(out, outOff, outLen, in, off, len)

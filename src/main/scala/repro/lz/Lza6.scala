@@ -1,6 +1,6 @@
 package repro.lz
 
-import repro.core.{BitReader => _, _}
+import repro.core.{Scratch, WorkProfile}
 
 /** Hash-chain LZ77 byte codec — the reproduction of SPDP's final "LZa6"
   * reducer stage (a fast LZ77 variant with a sliding window).
@@ -15,12 +15,12 @@ import repro.core.{BitReader => _, _}
   * The decoder stops when the known output length is reached, so the final
   * sequence legitimately carries no match.
   *
-  * The 2^16-entry `head` table is per thread and never cleared between calls
-  * (see [[repro.core.PositionTable]]): a slot an earlier call wrote reads as
-  * a negative position, which ends a chain as "none" does. Every position
-  * 0..n-4 is linked into its hash chain in order, whether or not a match
-  * later covers it, so the chain a search at `i` walks depends only on the
-  * input and starts at `prev(i)`.
+  * The 2^16-entry `head` table is the thread's position table, never
+  * cleared between calls ([[repro.core.Scratch.positions]]): a stale slot
+  * reads as a negative position, which ends a chain as "none" does. Every
+  * position 0..n-4 is linked into its hash chain in order, whether or not a
+  * match later covers it, so the chain a search at `i` walks depends only
+  * on the input and starts at `prev(i)`.
   * The links are therefore built in a forward pass ahead of the search, up
   * to 64 Ki positions at a time, and the search never reads `head`. `prev`
   * is a ring of `min(n, 128 Ki)` links, position `p`'s link at
@@ -29,10 +29,10 @@ import repro.core.{BitReader => _, _}
   * past any in-window candidate, and every chain walk sees the links a full
   * per-byte array would hold.
   *
-  * The ring and the output buffer are per thread and reused across calls
-  * up to 64 KiB each (see [[repro.core.KeptArray]]), which covers a 4 KiB
-  * page's ring of 4 Ki links. The ring needs no clearing: every slot a call
-  * reads is one it linked before.
+  * The ring and the output are the thread's [[repro.core.Scratch.links]]
+  * and [[repro.core.Scratch.coded]] arrays, kept up to 64 KiB each, which
+  * covers a 4 KiB page's ring of 4 Ki links. The ring needs no clearing:
+  * every slot a call reads is one it linked before.
   */
 object Lza6 {
   private val MinMatch  = 4
@@ -44,11 +44,6 @@ object Lza6 {
     */
   private val Links     = Window << 1
 
-  /** Most recent position of each 4-byte hash. */
-  private val heads = PositionTable.perThread(1 << HashBits)
-
-  private val rings   = KeptArray.perThread[Int](4)
-  private val outputs = ThreadLocal.withInitial[ByteBuf](() => new ByteBuf)
 
   /** The 4 bytes at `i`, big-endian. */
   private def word(b: Array[Byte], i: Int): Int =
@@ -56,10 +51,15 @@ object Lza6 {
 
   private def hash(word: Int): Int = (word * -1640531527) >>> (32 - HashBits) // Knuth multiplicative hash
 
-  /** The sequences of one `compress` call, written to `out` in order. */
-  private final class Sequences(in: Array[Byte], val out: ByteBuf) {
+  /** The sequences of one `compress` call, written to `out` in order. It
+    * has room for `n + n / 255 + 16` bytes: a sequence with a match takes
+    * fewer bytes than it covers plus one per 255 literals, and the last one
+    * at most two more than that.
+    */
+  private final class Sequences(in: Array[Byte], val out: Array[Byte]) {
     /** First input byte not yet covered by a sequence. */
     var litFrom = 0
+    var op      = 0 // next byte of out
 
     /** The literals `litFrom until litEnd`, then a match of `matchLen` bytes
       * at `offset` back, or none when `matchLen` is 0.
@@ -68,17 +68,19 @@ object Lza6 {
       val litLen = litEnd - litFrom
       val litTok = math.min(litLen, 15)
       val matTok = if (matchLen == 0) 0 else math.min(matchLen - MinMatch, 15)
-      out.write((litTok << 4) | matTok)
-      if (litLen >= 15) { var r = litLen - 15; while (r >= 255) { out.write(255); r -= 255 }; out.write(r) }
-      out.write(in, litFrom, litLen)
+      put((litTok << 4) | matTok)
+      if (litLen >= 15) { var r = litLen - 15; while (r >= 255) { put(255); r -= 255 }; put(r) }
+      System.arraycopy(in, litFrom, out, op, litLen); op += litLen
       if (matchLen > 0) {
-        out.write(offset & 0xff); out.write((offset >>> 8) & 0xff)
+        put(offset); put(offset >>> 8)
         if (matchLen - MinMatch >= 15) {
-          var r = matchLen - MinMatch - 15; while (r >= 255) { out.write(255); r -= 255 }; out.write(r)
+          var r = matchLen - MinMatch - 15; while (r >= 255) { put(255); r -= 255 }; put(r)
         }
       }
       litFrom = litEnd + matchLen
     }
+
+    private def put(b: Int): Unit = { out(op) = b.toByte; op += 1 }
   }
 
   /** Compress `in`; also returns the approximate work profile of the search
@@ -94,11 +96,12 @@ object Lza6 {
 
   /** Compress `in(0 until n)`. */
   def compress(in: Array[Byte], n: Int): (Array[Byte], WorkProfile) = {
-    val seq   = new Sequences(in, outputs.get.restart(n / 2 + 64))
-    val table = heads.get
+    val kept  = Scratch.get
+    val seq   = new Sequences(in, kept.coded.atLeast(n + n / 255 + 16))
+    val table = kept.positions
+    val base  = table.base(n, 1 << HashBits)
     val head  = table.slots
-    val base  = table.base(n)
-    val prev  = rings.get.atLeast(math.min(n, Links))
+    val prev  = kept.links.atLeast(math.min(n, Links))
     val ring  = Links - 1
     val last  = n - MinMatch // the last position with a 4-byte word
     var built = 0            // positions below `built` are linked
@@ -138,7 +141,7 @@ object Lza6 {
     }
     if (seq.litFrom < n || n == 0) seq.emit(n, 0, 0)
 
-    val bytes = seq.out.toArray
+    val bytes = java.util.Arrays.copyOf(seq.out, seq.op)
     (bytes, WorkProfile(n.toLong * 4, bytes.length, ops + n.toLong * 6, divergent = true))
   }
 

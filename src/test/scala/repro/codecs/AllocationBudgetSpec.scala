@@ -36,6 +36,14 @@ class AllocationBudgetSpec extends SparkSpec {
     * boxing `Array.map` over the block. With the shuffled parts and nv:LZ4's
     * raw chunks kept per thread, shf+LZ4 and nv:LZ4 have since measured
     * 861 296 and 815 832 bytes (1 451 064 and 1 405 672 before).
+    *
+    * With each frame's parts coded in place (one frame array, one copy out)
+    * and LZa6 coding into a kept array, one JVM measured, before → after:
+    * pFPC 1 032 912 → 788 152 bytes (no budget), SPDP 1 936 240 → 1 806 016,
+    * shf+LZ4 860 864 → 697 104, shf+zstd 854 872 → 693 856 and nv:LZ4
+    * 815 280 → 671 600. The budgets stay as they were: they are sized to
+    * fail a boxing pass over the block, several times the 160 KB the part
+    * copies took here.
     */
   private val BuffBudget: Long  = 1152L << 10
   private val FpzipBudget: Long = 2048L << 10
@@ -97,11 +105,19 @@ class AllocationBudgetSpec extends SparkSpec {
     * 35 432, 20 680 and 17 048 before, in the same run). The budgets of
     * shf+LZ4 and nv:LZ4, 14 and 13 KiB, lie below their figures before less
     * 16 KiB, so lz4-java's per-call table alone fails them.
+    *
+    * With each frame's parts coded straight into one kept frame array and
+    * copied out once, one JVM measured, before → after: pFPC 13 792 →
+    * 10 272 bytes, shf+LZ4 12 032 → 9 760, shf+zstd 11 952 → 9 336 and
+    * nv:LZ4 10 304 → 8 048 (SPDP 8 696 → 8 704, unchanged). Their budgets
+    * went from 16, 14, 24 and 13 KiB to 12, 11, 11 and 10 KiB: 15% to 27%
+    * above the figures after, and below each figure before, so the part
+    * copy coming back fails them.
     */
   private val pageBudgets: Seq[(Codec, Long)] = Seq(
-    new Pfpc(1) -> (16L << 10), new Spdp -> (20L << 10), new BitshuffleLz4(1) -> (14L << 10),
-    new BitshuffleZstd(1) -> (24L << 10), new Gorilla -> (11L << 10), new Chimp -> (10L << 10),
-    new NvLz4 -> (13L << 10), new NvBitcomp -> (10L << 10))
+    new Pfpc(1) -> (12L << 10), new Spdp -> (20L << 10), new BitshuffleLz4(1) -> (11L << 10),
+    new BitshuffleZstd(1) -> (11L << 10), new Gorilla -> (11L << 10), new Chimp -> (10L << 10),
+    new NvLz4 -> (10L << 10), new NvBitcomp -> (10L << 10))
 
   /** Many runs: a page round trip is too short for 20 to reach the JIT. */
   private val PageWarmUps = 3000

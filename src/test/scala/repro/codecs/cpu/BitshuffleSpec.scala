@@ -5,8 +5,9 @@ import org.scalacheck.{Gen, Prop}
 
 import repro.{PropSupport, SparkSpec}
 import repro.codecs.gpu.NvLz4
-import repro.core.{Codec, Compressed, FpBlock, Frame, Precision, WorkProfile}
+import repro.core.{Codec, Compressed, FpBlock, Frame, FrameOf, Precision, WorkProfile}
 import repro.lz.{Lz4Backend, ZstdBackend}
+import repro.lz.Lz4BackendSpec.encoded
 
 /** The word-path bitshuffle against the byte path kept in
   * [[BytePathBitshuffle]], the LZ back ends' range calls, and how a bad part
@@ -79,8 +80,8 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
     val (off, len) = (1234, 20000)
     val part = java.util.Arrays.copyOfRange(in, off, off + len)
     val cases: Seq[(String, Array[Byte], Array[Byte], (Array[Byte], Int, Int, Array[Byte], Int, Int) => Unit)] = Seq(
-      ("LZ4", Lz4Backend.compress(in, off, len), Lz4Backend.compress(part), Lz4Backend.decompress),
-      ("zstd", ZstdBackend.compress(in, off, len), ZstdBackend.compress(part), ZstdBackend.decompress))
+      ("LZ4", encoded(Lz4Backend, in, off, len, 17), Lz4Backend.compress(part), Lz4Backend.decompress),
+      ("zstd", encoded(ZstdBackend, in, off, len, 17), ZstdBackend.compress(part), ZstdBackend.decompress))
     for ((name, ranged, whole, decode) <- cases) {
       assert(java.util.Arrays.equals(ranged, whole), name)
       val framed = Array.fill[Byte](7)(5) ++ ranged ++ Array.fill[Byte](9)(6)
@@ -127,7 +128,7 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
     test(s"${codec.name} raises on a part that is a whole frame of too few bytes") {
       val rng   = new scala.util.Random(12)
       val short = encode(Array.fill(60000)(rng.nextInt(4).toByte))
-      val data  = Frame.write(Seq(short))
+      val data  = FrameOf(Seq(short))
       intercept[IllegalArgumentException](codec.decompress(data, Precision.Double, Seq(8192L)))
     }
 
@@ -137,9 +138,9 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
       val data  = codec.compress(b).bytes
       val offs  = Frame.read(data, 3, 3)
       val parts = (0 until 3).map(i => java.util.Arrays.copyOfRange(data, offs(i), offs(i + 1)))
-      assert(java.util.Arrays.equals(Frame.write(parts), data))
+      assert(java.util.Arrays.equals(FrameOf(parts), data))
       for (i <- 0 until 3) {
-        val cut = Frame.write(parts.updated(i, parts(i).init))
+        val cut = FrameOf(parts.updated(i, parts(i).init))
         withClue(s"part $i cut: ")(intercept[IllegalArgumentException](codec.decompress(cut, b.precision, b.extent)))
       }
       // The first part's length one short, its last byte read as the next part's first.
@@ -189,7 +190,7 @@ object BitshuffleSpec {
     val parts = Frame.fixedRanges(raw.length, 65536).map { case (from, until) =>
       BytePathBitshuffle.encode(BytePathBitshuffle.Lz4, java.util.Arrays.copyOfRange(raw, from, until))
     }
-    val bytes = Frame.write(parts)
+    val bytes = FrameOf(parts)
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length, raw.length.toLong * 12, divergent = true))
   }
 }

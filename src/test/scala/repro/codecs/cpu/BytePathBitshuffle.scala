@@ -43,7 +43,7 @@ object BytePathBitshuffle {
     val parts = Frame.fixedRanges(raw.length, BlockBytes).map { case (from, until) =>
       encode(backend, shuffle(raw, from, until, elemSize))
     }
-    val bytes = Frame.write(parts)
+    val bytes = FrameOf(parts)
     Compressed(bytes, WorkProfile(raw.length.toLong * 3, bytes.length,
                                   raw.length.toLong * 10, divergent = false))
   }

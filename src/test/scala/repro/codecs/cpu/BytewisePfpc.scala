@@ -1,6 +1,6 @@
 package repro.codecs.cpu
 
-import repro.core.{ByteBuf, FpBlock, Frame, Words}
+import repro.core.{ByteBuf, FpBlock, FrameOf, Words}
 
 /** The pFPC encoder that buffered each pair's codes and residuals and wrote
   * them one byte at a time through a `ByteBuf`, kept as the oracle the
@@ -23,7 +23,7 @@ object BytewisePfpc {
     val parts = (0 until k).map { i =>
       compressChunk(words, (words.length.toLong * i / k).toInt, (words.length.toLong * (i + 1) / k).toInt)
     }
-    Frame.write(parts)
+    FrameOf(parts)
   }
 
   private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {

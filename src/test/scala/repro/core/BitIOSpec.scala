@@ -98,7 +98,7 @@ class BitIOSpec extends SparkSpec with PropSupport {
 
   test("a writer lets go of an array over the cap in toArray and fails loudly until restarted") {
     val w = new BitWriter(16)
-    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    val big = Array.tabulate[Byte](Scratch.MaxBytes + 1)(_.toByte)
     w.writeBits(5, 3)
     w.align()
     big.foreach(b => w.writeBits(b, 8))

@@ -23,7 +23,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
 
   test("ByteBuf lets go of an array over the cap in toArray and fails loudly until restarted") {
     val b = new ByteBuf(16)
-    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    val big = Array.tabulate[Byte](Scratch.MaxBytes + 1)(_.toByte)
     b.write(big, 0, big.length)
     assert(b.toArray.sameElements(big))
     intercept[NullPointerException](b.toArray)
@@ -42,7 +42,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     b.copyTo(dest, 1)
     w.copyTo(dest, 4)
     assert(dest.toSeq == Seq[Byte](9, 1, 2, 3, 0x5a, 0x50, 9))
-    val big = Array.tabulate[Byte](KeptArray.MaxBytes + 1)(_.toByte)
+    val big = Array.tabulate[Byte](Scratch.MaxBytes + 1)(_.toByte)
     b.restart(16).write(big, 0, big.length)
     val copy = new Array[Byte](big.length)
     b.copyTo(copy, 0)
@@ -51,19 +51,19 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   }
 
   test("PositionTable: each base lies above every stored value, and the table refills before passing Int.MaxValue") {
-    val t  = new PositionTable(4, Int.MaxValue - 25)
-    val b1 = t.base(10)
+    val t  = new PositionTable(Int.MaxValue - 25)
+    val b1 = t.base(10, 4)
     t.slots(0) = b1 + 9 // the last position of a 10-position call
-    val b2 = t.base(10)
+    val b2 = t.base(10, 4)
     assert(b1 == Int.MaxValue - 25 && b2 == b1 + 10 && t.slots(0) < b2)
     t.slots(1) = b2 + 9
-    val b3 = t.base(5) // ends exactly at Int.MaxValue
+    val b3 = t.base(5, 4) // ends exactly at Int.MaxValue
     assert(b3 == Int.MaxValue - 5 && t.slots.forall(_ < b3))
     t.slots(2) = b3 + 4
-    val b4 = t.base(1) // would pass Int.MaxValue: the table starts over
+    val b4 = t.base(1, 4) // would pass Int.MaxValue: the table starts over
     assert(b4 == 1 && t.slots.forall(_ == 0))
     t.slots(3) = b4
-    assert(t.base(3) == 2 && t.slots.forall(_ < 2))
+    assert(t.base(3, 4) == 2 && t.slots.forall(_ < 2))
   }
 
   test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
@@ -87,7 +87,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   test("property: Frame.read returns the running sum of the lengths Frame.write stored") {
     val partsGen = Gen.listOf(Gen.choose(0, 300).map(n => Array.tabulate(n)(i => (i * 7 + n).toByte)))
     checkProp(Prop.forAll(partsGen, Gen.choose(0, 20)) { (parts, appended) =>
-      val data    = Frame.write(parts, trailer = appended)
+      val data    = FrameOf(parts, trailer = appended)
       val offsets = Frame.read(data, parts.length, parts.length)
       offsets.toSeq == parts.map(_.length).scanLeft(4 + 4 * parts.length)(_ + _) &&
         parts.indices.forall(i => data.slice(offsets(i), offsets(i + 1)).sameElements(parts(i))) &&
@@ -96,7 +96,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
   }
 
   test("Frame.read rejects a count outside the accepted range or past the stream") {
-    val data = Frame.write(Seq(Array[Byte](1, 2), Array[Byte](3)))
+    val data = FrameOf(Seq(Array[Byte](1, 2), Array[Byte](3)))
     assert(Frame.read(data, 1, 2).toSeq == Seq(12, 14, 15))
     intercept[IllegalArgumentException](Frame.read(data, 3, 3))
     intercept[IllegalArgumentException](Frame.read(data, 0, 1))

@@ -14,30 +14,46 @@ class Lz4BackendSpec extends SparkSpec with PropSupport {
 
   test("property: the port writes lz4-java's bytes for 0 to 65 546 bytes at non-zero offsets") {
     val gen = for {
-      len  <- Gen.frequency(2 -> Gen.choose(0, 16), 3 -> Gen.choose(17, 5000), 2 -> Gen.choose(5001, 65546),
-                            2 -> Gen.oneOf(12, 13, 4096, 65535, 65536, 65546))
-      kind <- Gen.oneOf(Kinds)
-      off  <- Gen.choose(1, 100)
-      seed <- Gen.choose(Long.MinValue, Long.MaxValue)
-    } yield (len, kind, off, seed)
-    checkProp(Prop.forAllNoShrink(gen) { case (len, kind, off, seed) =>
+      len    <- Gen.frequency(2 -> Gen.choose(0, 16), 3 -> Gen.choose(17, 5000), 2 -> Gen.choose(5001, 65546),
+                              2 -> Gen.oneOf(12, 13, 4096, 65535, 65536, 65546))
+      kind   <- Gen.oneOf(Kinds)
+      off    <- Gen.choose(1, 100)
+      outOff <- Gen.choose(0, 100)
+      seed   <- Gen.choose(Long.MinValue, Long.MaxValue)
+    } yield (len, kind, off, outOff, seed)
+    checkProp(Prop.forAllNoShrink(gen) { case (len, kind, off, outOff, seed) =>
       val in = framed(input(kind, len, seed), off)
-      Prop.propBoolean(java.util.Arrays.equals(Lz4Backend.compress(in, off, len), Lz4JavaFast.compress(in, off, len))) :|
-        s"len=$len kind=$kind off=$off seed=$seed"
+      Prop.propBoolean(java.util.Arrays.equals(encoded(Lz4Backend, in, off, len, outOff), Lz4JavaFast.compress(in, off, len))) :|
+        s"len=$len kind=$kind off=$off outOff=$outOff seed=$seed"
     }, minTests = 150)
   }
 
   test("inputs of 65 547 bytes and more are coded as lz4-java codes them") {
     for (len <- Seq(65547, 200000); kind <- Kinds) {
       val in = framed(input(kind, len, len.toLong), 5)
-      assert(java.util.Arrays.equals(Lz4Backend.compress(in, 5, len), Lz4JavaFast.compress(in, 5, len)), s"len=$len kind=$kind")
-      assert(Lz4Backend.decompress(Lz4Backend.compress(in, 5, len), len).sameElements(in.slice(5, 5 + len)))
+      val coded = encoded(Lz4Backend, in, 5, len, 3)
+      assert(java.util.Arrays.equals(coded, Lz4JavaFast.compress(in, 5, len)), s"len=$len kind=$kind")
+      assert(Lz4Backend.decompress(coded, len).sameElements(in.slice(5, 5 + len)))
     }
   }
 }
 
 object Lz4BackendSpec {
   val Kinds: Seq[String] = Seq("random", "runs", "shuffled")
+
+  /** `backend`'s part of `in(off until off + len)`, coded at `outOff` of an
+    * array of stale bytes, as a frame codes it; a write outside the part's
+    * region of `bound(len)` bytes raises.
+    */
+  def encoded(backend: LzBackend, in: Array[Byte], off: Int, len: Int, outOff: Int): Array[Byte] = {
+    val stale = 0x5a.toByte
+    val end   = outOff + backend.bound(len)
+    val out   = Array.fill(end + 8)(stale)
+    val n     = backend.encode(in, off, len, out, outOff)
+    require((0 until outOff).forall(out(_) == stale) && (end until out.length).forall(out(_) == stale),
+            s"${backend.getClass.getSimpleName} wrote outside its region")
+    java.util.Arrays.copyOfRange(out, outOff, outOff + n)
+  }
 
   /** `len` bytes from `seed`: uniform, runs of 2-4 byte values, or the
     * bitshuffled bytes of a page of random-walk or two-decimal doubles.
