@@ -132,14 +132,14 @@ object BitshuffleBase {
       val at = o + (e >> 3)
       var q = 0
       if (count < Group) {
-        while (q < words) { ByteBuf.writeWordLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
+        while (q < words) { Words.writeWordLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
       } else {
         while (q < words) { LongLE.set(out, at + (q ^ 7) * w, group(q)); q += 1 }
       }
       e += Group
     }
     var i = mm
-    while (i < m) { ByteBuf.writeWordLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
+    while (i < m) { Words.writeWordLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
   }
 
   /** The inverse of [[shuffleChunk]]. */
@@ -155,7 +155,7 @@ object BitshuffleBase {
       val at    = o + (e >> 3)
       var q = 0
       if (count < Group) {
-        while (q < words) { group(q) = ByteBuf.readWordLE(in, at + (q ^ 7) * w, count >> 3); q += 1 }
+        while (q < words) { group(q) = Words.readWordLE(in, at + (q ^ 7) * w, count >> 3); q += 1 }
       } else {
         while (q < words) { group(q) = readLE8(in, at + (q ^ 7) * w); q += 1 }
       }
@@ -170,7 +170,7 @@ object BitshuffleBase {
       e += Group
     }
     var i = mm
-    while (i < m) { bits(v0 + i) = ByteBuf.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
+    while (i < m) { bits(v0 + i) = Words.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
   }
 
   private def readLE8(in: Array[Byte], p: Int): Long =

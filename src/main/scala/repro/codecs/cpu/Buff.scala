@@ -51,8 +51,7 @@ final class Buff extends Codec {
       out(1) = p.toByte
       out(2) = BitsForPrecision(p).toByte
       out(3) = totalBits.toByte
-      var k = 0
-      while (k < 8) { out(4 + k) = ((qmin >>> (8 * k)) & 0xff).toByte; k += 1 }
+      Words.writeWordLE(out, 4, qmin, 8)
       // Byte-plane (sub-column) layout: plane b holds byte b of every delta.
       var b = 0
       while (b < nBytes) {
@@ -78,9 +77,7 @@ final class Buff extends Codec {
       val m         = data(2).toInt
       val totalBits = data(3).toInt
       val nBytes    = (totalBits + 7) / 8
-      var qmin      = 0L
-      var k = 0
-      while (k < 8) { qmin |= (data(4 + k) & 0xffL) << (8 * k); k += 1 }
+      val qmin      = Words.readWordLE(data, 4, 8)
       // Gather the deltas one byte plane at a time, then dequantize in place.
       val bits = new Array[Long](n)
       var b = 0

@@ -16,7 +16,7 @@ import repro.core._
   * 4. Copy the remaining significant bits verbatim.
   *
   * fpzip is a serial method; no thread parallelism is used. Its two
-  * writers, both live at once, are the thread's [[repro.core.Scratch.buf]]
+  * writers, both live at once, are the thread's [[repro.core.Scratch.symbols]]
   * (the range-coded symbols) and [[repro.core.Scratch.bits]] (the verbatim
   * bits); the stream joins their bytes behind the symbols' 4-byte length,
   * each copied once, straight from its writer.
@@ -33,7 +33,7 @@ final class Fpzip extends Codec {
     var i      = 0
     while (i < mapped.length) { mapped(i) = mapOrdered(block.bits(i), w); i += 1 }
     val kept   = Scratch.get
-    val enc    = new RangeEncoder(kept.buf.restart(block.n / 2 + 64))
+    val enc    = new RangeEncoder(kept.symbols.restart(block.n / 2 + 64))
     val model  = new AdaptiveModel(w + 1)
     val raw    = kept.bits.restart(block.n * block.precision.bytes / 2 + 64)
 
@@ -41,19 +41,16 @@ final class Fpzip extends Codec {
     i = 0
     while (i < mapped.length) {
       val pred = lorenzo.predict(mapped, i)
-      // Wrap the residual to w bits and sign-extend so zigzag stays in w bits.
-      val diff = (mapped(i) - pred) & Words.mask(w)
-      val r    = if (w == 64) diff else (diff << (64 - w)) >> (64 - w)
-      val z    = (r << 1) ^ (r >> 63) // zigzag; fits in w bits (64-bit wraps)
+      val z    = Words.zigzag(mapped(i) - pred, w) // the w-bit residual, zigzagged into w bits
       val sym  = 64 - java.lang.Long.numberOfLeadingZeros(z) // magnitude class 0..w
       model.encodeSymbol(enc, sym)
       if (sym > 1) raw.writeBits(z, sym - 1) // top bit of z is implicit
       i += 1
     }
     val symbols = enc.finish()
-    val symLen  = symbols.size
+    val symLen  = symbols.sizeBytes
     val bytes   = new Array[Byte](4 + symLen + raw.sizeBytes)
-    ByteBuf.writeWordLE(bytes, 0, symLen, 4)
+    Words.writeWordLE(bytes, 0, symLen, 4)
     symbols.copyTo(bytes, 4)
     raw.copyTo(bytes, 4 + symLen)
     Compressed(bytes, WorkProfile(block.sizeBytes, bytes.length,
@@ -64,7 +61,7 @@ final class Fpzip extends Codec {
     val w        = precision.bits
     val n        = extent.product.toInt
     require(data.length >= 4, s"fpzip stream of ${data.length} bytes has no header")
-    val symLen   = ByteBuf.readWordLE(data, 0, 4).toInt
+    val symLen   = Words.readWordLE(data, 0, 4).toInt
     require(symLen >= 0 && symLen <= data.length - 4,
             s"fpzip symbol stream of $symLen bytes does not fit a ${data.length}-byte stream")
     val dec      = new RangeDecoder(data, 4, 4 + symLen)
@@ -79,9 +76,8 @@ final class Fpzip extends Codec {
         if (sym == 0) 0L
         else if (sym == 1) 1L
         else (1L << (sym - 1)) | raw.readBits(sym - 1)
-      val r    = (z >>> 1) ^ -(z & 1) // un-zigzag
       val pred = lorenzo.predict(mapped, i)
-      mapped(i) = (pred + r) & Words.mask(w)
+      mapped(i) = (pred + Words.unzigzag(z)) & Words.mask(w)
       i += 1
     }
     i = 0

@@ -162,9 +162,9 @@ object NdzipCore {
       var head = 0L
       var i = 0
       while (i < w) { if (work(base + i) != 0) head |= 1L << i; i += 1 }
-      ByteBuf.writeWordLE(out, pos, head, bytes); pos += bytes
+      Words.writeWordLE(out, pos, head, bytes); pos += bytes
       i = 0
-      while (i < w) { if (work(base + i) != 0) { ByteBuf.writeWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
+      while (i < w) { if (work(base + i) != 0) { Words.writeWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
       base += w
     }
     pos - off
@@ -179,10 +179,10 @@ object NdzipCore {
     var pos   = off
     var base  = 0
     while (base < BlockElems) {
-      val head = ByteBuf.readWordLE(data, pos, bytes); pos += bytes
+      val head = Words.readWordLE(data, pos, bytes); pos += bytes
       var i = 0
       while (i < w) {
-        if (((head >>> i) & 1L) != 0) { work(base + i) = ByteBuf.readWordLE(data, pos, bytes); pos += bytes }
+        if (((head >>> i) & 1L) != 0) { work(base + i) = Words.readWordLE(data, pos, bytes); pos += bytes }
         i += 1
       }
       BitTranspose.square(work, base, w)
@@ -200,13 +200,8 @@ object NdzipCore {
     */
   private def compressTile(work: Array[Long], dims: Int, w: Int, out: Array[Byte], off: Int): Int = {
     forwardLorenzo(work, dims, sideFor(dims), w)
-    val m = Words.mask(w)
     var i = 0
-    while (i < work.length) {
-      val rs = if (w == 64) work(i) else (work(i) << (64 - w)) >> (64 - w)
-      work(i) = ((rs << 1) ^ (rs >> 63)) & m
-      i += 1
-    }
+    while (i < work.length) { work(i) = Words.zigzag(work(i), w); i += 1 }
     encodeResiduals(work, w, out, off)
   }
 
@@ -214,11 +209,7 @@ object NdzipCore {
     val (work, consumed) = decodeResiduals(data, off, w)
     val m = Words.mask(w)
     var i = 0
-    while (i < work.length) {
-      val z = work(i)
-      work(i) = ((z >>> 1) ^ -(z & 1)) & m
-      i += 1
-    }
+    while (i < work.length) { work(i) = Words.unzigzag(work(i)) & m; i += 1 }
     inverseLorenzo(work, dims, sideFor(dims), w)
     (work, consumed)
   }
@@ -240,7 +231,7 @@ object NdzipCore {
     var pos    = bytes.length - border
     borderRuns(g) { (from, until) =>
       var i = from
-      while (i < until) { ByteBuf.writeWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
+      while (i < until) { Words.writeWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
     }
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
     val ops = block.sizeBytes * 7
@@ -265,7 +256,7 @@ object NdzipCore {
     borderRuns(g) { (from, until) =>
       var i = from
       var p = pos
-      while (i < until) { vals(i) = ByteBuf.readWordLE(data, p, w / 8); p += w / 8; i += 1 }
+      while (i < until) { vals(i) = Words.readWordLE(data, p, w / 8); p += w / 8; i += 1 }
       pos = p
     }
     val ops = n.toLong * precision.bytes * 7

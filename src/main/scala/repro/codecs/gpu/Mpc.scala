@@ -15,6 +15,10 @@ import repro.core._
   * The word size (32/64-bit) must match the data precision so LNV6s computes
   * meaningful residuals — the "input word size information is important"
   * insight from the paper.
+  *
+  * The stream is coded into the thread's [[repro.core.Scratch.coded]], sized
+  * for the worst case: each w-value group writes at most one bitmap word and
+  * w data words, and every chunk but the last is a whole number of groups.
   */
 final class Mpc extends Codec {
   override def name: String     = "MPC"
@@ -27,7 +31,8 @@ final class Mpc extends Codec {
     val bytes  = block.precision.bytes
     val m      = Words.mask(w)
     val vals   = block.bits
-    val out    = new ByteBuf(vals.length * bytes / 2 + 64)
+    val out    = Scratch.get.coded.atLeast(Math.toIntExact((w + 1L) * ((vals.length + w - 1) / w) * bytes))
+    var pos    = 0
     val r1     = new Array[Long](Chunk)
     val t      = new Array[Long](Chunk)
     val bitmap = new Array[Long](Chunk / 32)
@@ -54,12 +59,12 @@ final class Mpc extends Codec {
       i = 0
       while (i < nWords) { if (t(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
       i = 0
-      while (i < bitmapWords) { out.writeWordLE(bitmap(i), bytes); i += 1 }
+      while (i < bitmapWords) { Words.writeWordLE(out, pos, bitmap(i), bytes); pos += bytes; i += 1 }
       i = 0
-      while (i < nWords) { if (t(i) != 0) out.writeWordLE(t(i), bytes); i += 1 }
+      while (i < nWords) { if (t(i) != 0) { Words.writeWordLE(out, pos, t(i), bytes); pos += bytes }; i += 1 }
       base += len
     }
-    val stream = out.toArray
+    val stream = java.util.Arrays.copyOf(out, pos)
     // ~14 ops/byte: two delta passes + the bit transpose (DESIGN.md #2)
     val ops = block.sizeBytes * 14
     Compressed(stream, WorkProfile(block.sizeBytes * 3, stream.length, ops, divergent = false))
@@ -82,13 +87,13 @@ final class Mpc extends Codec {
       val nWords = w * groups
       val bitmapWords = (nWords + w - 1) / w
       var i = 0
-      while (i < bitmapWords) { bitmap(i) = ByteBuf.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
+      while (i < bitmapWords) { bitmap(i) = Words.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
       // ZE and LNV1s inverses in one forward pass
       var prev = 0L
       i = 0
       while (i < nWords) {
         if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) {
-          prev = (prev + ByteBuf.readWordLE(data, pos, bytes)) & m
+          prev = (prev + Words.readWordLE(data, pos, bytes)) & m
           pos += bytes
         }
         t(i) = prev

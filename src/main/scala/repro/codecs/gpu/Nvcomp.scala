@@ -73,10 +73,7 @@ final class NvBitcomp extends Codec {
       var width = 0
       var i = 0
       while (i < len) {
-        val d  = if (i == 0) 0L
-                 else (vals(base + i) - vals(base + i - 1)) & Words.mask(w)
-        val ds = signExtend(d, w)
-        zz(i) = (ds << 1) ^ (ds >> 63)
+        zz(i) = if (i == 0) 0L else Words.zigzag(vals(base + i) - vals(base + i - 1), w)
         val bitsNeeded = 64 - java.lang.Long.numberOfLeadingZeros(zz(i))
         if (bitsNeeded > width) width = bitsNeeded
         i += 1
@@ -106,9 +103,7 @@ final class NvBitcomp extends Codec {
       vals(base) = in.readBits(w)
       var i = 1
       while (i < len) {
-        val z  = in.readBits(width)
-        val ds = (z >>> 1) ^ -(z & 1)
-        vals(base + i) = (vals(base + i - 1) + ds) & Words.mask(w)
+        vals(base + i) = (vals(base + i - 1) + Words.unzigzag(in.readBits(width))) & Words.mask(w)
         i += 1
       }
       base += len
@@ -117,6 +112,4 @@ final class NvBitcomp extends Codec {
                  WorkProfile(data.length + n.toLong * precision.bytes,
                              n.toLong * precision.bytes, n.toLong * 3, divergent = false))
   }
-
-  private def signExtend(v: Long, w: Int): Long = if (w == 64) v else (v << (64 - w)) >> (64 - w)
 }

@@ -4,11 +4,13 @@ import java.util.Arrays
 
 /** MSB-first bit stream writer backed by a growable byte array.
   *
-  * The XOR codecs (Gorilla, Chimp), fpzip's verbatim-bit tail, GFC's 4-bit
-  * headers and residual bytes, and nv:btcomp's packed deltas are emitted
-  * through this writer. Bits are packed most-significant-first inside each
-  * byte so the stream is byte-order independent and directly comparable with
-  * the papers' layouts.
+  * The XOR codecs (Gorilla, Chimp), fpzip's verbatim-bit tail and
+  * range-coded bytes, GFC's 4-bit headers and residual bytes, and
+  * nv:btcomp's packed deltas are emitted through this writer, the only
+  * growable one: every other codec knows its stream's worst-case size in
+  * advance. Bits are packed most-significant-first inside each byte so the
+  * stream is byte-order independent and directly comparable with the
+  * papers' layouts.
   *
   * Fields collect in a 64-bit accumulator. A write that completes a byte
   * stores all eight bytes of the left-aligned pending bits at once and
@@ -17,10 +19,10 @@ import java.util.Arrays
   * is read back, so a writer can start a new stream over the bytes of its
   * last one.
   *
-  * Each thread keeps one writer across calls ([[Scratch.bits]]), and each
-  * stream starts with [[restart]]: the writer keeps its array only up to
-  * [[Scratch.MaxBytes]], and `toArray` or `copyTo` is the one copy that
-  * leaves the call.
+  * Each thread keeps two writers across calls ([[Scratch.bits]] and
+  * [[Scratch.symbols]]), and each stream starts with [[restart]]: the
+  * writer keeps its array only up to [[Scratch.MaxBytes]], and `toArray` or
+  * `copyTo` is the one copy that leaves the call.
   */
 final class BitWriter(initialCapacity: Int = 1024) {
   private var buf: Array[Byte] = new Array[Byte](math.max(16, initialCapacity))

@@ -27,10 +27,10 @@ object Frame {
     val work = Scratch.get.frame.atLeast(starts.last.toInt)
     val lens = Parallel.map(items.indices, threads)(i => code(items(i), work, starts(i).toInt))
     val out  = new Array[Byte](4 + 4 * lens.length + lens.sum + trailer)
-    ByteBuf.writeWordLE(out, 0, lens.length, 4)
+    Words.writeWordLE(out, 0, lens.length, 4)
     var pos = 4 + 4 * lens.length
     for (i <- lens.indices) {
-      ByteBuf.writeWordLE(out, 4 + 4 * i, lens(i), 4)
+      Words.writeWordLE(out, 4 + 4 * i, lens(i), 4)
       System.arraycopy(work, starts(i).toInt, out, pos, lens(i))
       pos += lens(i)
     }
@@ -45,14 +45,14 @@ object Frame {
     */
   def read(data: Array[Byte], minCount: Int, maxCount: Int): Array[Int] = {
     require(data.length >= 4, s"stream of ${data.length} bytes has no chunk count")
-    val count = ByteBuf.readWordLE(data, 0, 4).toInt
+    val count = Words.readWordLE(data, 0, 4).toInt
     require(count >= minCount && count <= maxCount, s"chunk count $count outside $minCount..$maxCount")
     require(4L + 4L * count <= data.length, s"$count chunk lengths overrun a ${data.length}-byte stream")
     val offsets = new Array[Int](count + 1)
     offsets(0) = 4 + 4 * count
     var i = 0
     while (i < count) {
-      val len = ByteBuf.readWordLE(data, 4 + 4 * i, 4).toInt
+      val len = Words.readWordLE(data, 4 + 4 * i, 4).toInt
       require(len >= 0 && len <= data.length - offsets(i),
               s"chunk $i of $len bytes at ${offsets(i)} overruns a ${data.length}-byte stream")
       offsets(i + 1) = offsets(i) + len

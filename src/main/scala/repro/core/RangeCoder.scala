@@ -13,8 +13,10 @@ object RangeCoder {
   private[core] val Mask: Long = 0xffffffffL
 }
 
-/** Appends the coded bytes to `out`, which a codec that keeps it restarts first. */
-final class RangeEncoder(out: ByteBuf = new ByteBuf()) {
+/** Appends the coded bytes to `out`, one byte-aligned 8-bit field each, so a
+  * restarted writer holds exactly the coded bytes.
+  */
+final class RangeEncoder(out: BitWriter) {
   import RangeCoder._
   private var low: Long     = 0L
   private var range: Long   = Mask
@@ -33,16 +35,16 @@ final class RangeEncoder(out: ByteBuf = new ByteBuf()) {
     while (((low ^ (low + range)) & Mask) < Top || {
              if (range < Bot) { range = (-low) & (Bot - 1); true } else false
            }) {
-      out.write(((low >>> 24) & 0xff).toInt)
+      out.writeBits(low >>> 24, 8)
       low = (low << 8) & Mask
       range = (range << 8) & Mask
     }
   }
 
   /** Flush the coder's state; `out`, which then holds the whole stream. */
-  def finish(): ByteBuf = {
+  def finish(): BitWriter = {
     var i = 0
-    while (i < 4) { out.write(((low >>> 24) & 0xff).toInt); low = (low << 8) & Mask; i += 1 }
+    while (i < 4) { out.writeBits(low >>> 24, 8); low = (low << 8) & Mask; i += 1 }
     out
   }
 }

@@ -21,10 +21,10 @@ import scala.reflect.ClassTag
   *     codec's, so its user writes every element before it reads it.
   *
   * The most one thread retains between calls is 1 728 KiB: the five roles
-  * and the writer's and buffer's arrays at 64 KiB each (448 KiB), the
-  * position table's 2^16 slots (256 KiB), and pFPC's pair (1 MiB) once pFPC
-  * ran on the thread. A call that throws may leave the writer or the buffer
-  * holding a larger array until the next call restarts it.
+  * and the two writers' arrays at 64 KiB each (448 KiB), the position
+  * table's 2^16 slots (256 KiB), and pFPC's pair (1 MiB) once pFPC ran on
+  * the thread. A call that throws may leave a writer holding a larger array
+  * until the next call restarts it.
   */
 final class Scratch private {
   import Scratch.Role
@@ -37,7 +37,7 @@ final class Scratch private {
     */
   val staged = new Role[Byte](1)
 
-  /** LZa6's output, or a whole array's LZ4 or zstd stream
+  /** LZa6's output, MPC's stream, or a whole array's LZ4 or zstd stream
     * ([[repro.lz.LzBackend.compress]]).
     */
   val coded = new Role[Byte](1)
@@ -56,8 +56,8 @@ final class Scratch private {
     */
   val bits = new BitWriter
 
-  /** fpzip's range-coded symbols. */
-  val buf = new ByteBuf
+  /** fpzip's range-coded symbols, one byte at a time. */
+  val symbols = new BitWriter
 
   private var pair: ReusedTable = _
 

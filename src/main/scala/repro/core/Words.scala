@@ -36,4 +36,30 @@ object Words {
 
   /** The low `w` bits set, the value mask of a `w`-bit pattern (1 <= w <= 64). */
   def mask(w: Int): Long = if (w == 64) -1L else (1L << w) - 1
+
+  /** The low `w` bits of `v` read as a signed `w`-bit residual and zigzag
+    * mapped (0, -1, 1, -2, ... to 0, 1, 2, 3, ...), so that a small residual
+    * of either sign has few significant bits; the result fits in `w` bits.
+    */
+  def zigzag(v: Long, w: Int): Long = {
+    val r = if (w == 64) v else (v << (64 - w)) >> (64 - w)
+    (r << 1) ^ (r >> 63)
+  }
+
+  /** The signed residual of a [[zigzag]] code, sign-extended to 64 bits. */
+  def unzigzag(z: Long): Long = (z >>> 1) ^ -(z & 1)
+
+  /** The low `nBytes` bytes of `v` at `data(off)`, least significant first. */
+  def writeWordLE(data: Array[Byte], off: Int, v: Long, nBytes: Int): Unit = {
+    var i = 0
+    while (i < nBytes) { data(off + i) = (v >>> (8 * i)).toByte; i += 1 }
+  }
+
+  /** Reads back a word written by [[writeWordLE]]. */
+  def readWordLE(data: Array[Byte], off: Int, nBytes: Int): Long = {
+    var v = 0L
+    var i = 0
+    while (i < nBytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
+    v
+  }
 }

@@ -1,11 +1,11 @@
 package repro.codecs.cpu
 
-import repro.core.{ByteBuf, FpBlock, FrameOf, Words}
+import repro.core.{FpBlock, FrameOf, Words}
 
 /** The pFPC encoder that buffered each pair's codes and residuals and wrote
-  * them one byte at a time through a `ByteBuf`, kept as the oracle the
-  * word-at-a-time coder must match (see [[PfpcSpec]]). Its FCM/DFCM tables
-  * are new for every chunk.
+  * them one byte at a time through a `java.io.ByteArrayOutputStream`, kept
+  * as the oracle the word-at-a-time coder must match (see [[PfpcSpec]]).
+  * Its FCM/DFCM tables are new for every chunk.
   */
 object BytewisePfpc {
   private val TableBits = 16
@@ -27,7 +27,7 @@ object BytewisePfpc {
   }
 
   private def compressChunk(words: Array[Long], from: Int, until: Int): Array[Byte] = {
-    val out   = new ByteBuf((until - from) * 8 / 2 + 16)
+    val out   = new java.io.ByteArrayOutputStream((until - from) * 8 / 2 + 16)
     val fcm   = new Array[Long](1 << TableBits)
     val dfcm  = new Array[Long](1 << TableBits)
     var fHash = 0
@@ -73,6 +73,6 @@ object BytewisePfpc {
       i += 1
     }
     if (pair == 1) flushPair(1)
-    out.toArray
+    out.toByteArray
   }
 }

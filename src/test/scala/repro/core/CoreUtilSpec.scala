@@ -5,49 +5,19 @@ import org.scalacheck.{Gen, Prop}
 
 class CoreUtilSpec extends SparkSpec with PropSupport {
 
-  test("ByteBuf single-byte writes") {
-    val b = new ByteBuf(2)
-    (0 until 1000).foreach(i => b.write(i & 0xff))
-    val a = b.toArray
-    assert(a.length == 1000)
-    assert((0 until 1000).forall(i => (a(i) & 0xff) == (i & 0xff)))
-  }
-
-  test("ByteBuf bulk writes and a 4-byte writeWordLE") {
-    val b = new ByteBuf()
-    b.writeWordLE(0x04030201, 4)
-    b.write(Array[Byte](9, 8, 7), 1, 2)
-    assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4, 8, 7))
-    assert(b.size == 6)
-  }
-
-  test("ByteBuf lets go of an array over the cap in toArray and fails loudly until restarted") {
-    val b = new ByteBuf(16)
-    val big = Array.tabulate[Byte](Scratch.MaxBytes + 1)(_.toByte)
-    b.write(big, 0, big.length)
-    assert(b.toArray.sameElements(big))
-    intercept[NullPointerException](b.toArray)
-    intercept[NullPointerException](b.write(1))
-    b.restart(4).writeWordLE(0x04030201, 4)
-    assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4))
-    assert(b.toArray.toSeq == Seq[Byte](1, 2, 3, 4)) // a kept array stays readable
-  }
-
-  test("ByteBuf and BitWriter copyTo write the toArray bytes at an offset and end the stream as toArray does") {
-    val b = new ByteBuf(4)
-    b.write(Array[Byte](1, 2, 3), 0, 3)
+  test("BitWriter copyTo writes the toArray bytes at an offset") {
     val w = new BitWriter(4)
     w.writeBits(0x5a5L, 12) // one whole byte and 4 pending bits
-    val dest = Array.fill[Byte](7)(9)
-    b.copyTo(dest, 1)
-    w.copyTo(dest, 4)
-    assert(dest.toSeq == Seq[Byte](9, 1, 2, 3, 0x5a, 0x50, 9))
+    val dest = Array.fill[Byte](4)(9)
+    w.copyTo(dest, 1)
+    assert(dest.toSeq == Seq[Byte](9, 0x5a, 0x50, 9))
     val big = Array.tabulate[Byte](Scratch.MaxBytes + 1)(_.toByte)
-    b.restart(16).write(big, 0, big.length)
+    w.restart(16)
+    big.foreach(b => w.writeBits(b, 8))
     val copy = new Array[Byte](big.length)
-    b.copyTo(copy, 0)
+    w.copyTo(copy, 0)
     assert(copy.sameElements(big))
-    intercept[NullPointerException](b.toArray)
+    intercept[NullPointerException](w.toArray)
   }
 
   test("PositionTable: each base lies above every stored value, and the table refills before passing Int.MaxValue") {
@@ -66,22 +36,33 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     assert(t.base(3, 4) == 2 && t.slots.forall(_ < 2))
   }
 
-  test("property: ByteBuf.writeWordLE/readWordLE roundtrip the low nBytes") {
+  test("property: Words.readWordLE reads back writeWordLE") {
     val wordGen = for {
-      n <- Gen.oneOf(1, 2, 4, 8)
+      n <- Gen.choose(1, 8)
       v <- Gen.choose(Long.MinValue, Long.MaxValue)
     } yield (v, n)
     checkProp(Prop.forAll(Gen.listOfN(100, wordGen)) { words =>
-      val b = new ByteBuf(4)
-      words.foreach { case (v, n) => b.writeWordLE(v, n) }
-      val a = b.toArray
-      var pos = 0
-      a.length == words.map(_._2).sum && words.forall { case (v, n) =>
-        val got = ByteBuf.readWordLE(a, pos, n)
-        pos += n
-        got == (if (n == 8) v else v & ((1L << (8 * n)) - 1))
+      val a    = new Array[Byte](words.map(_._2).sum)
+      val offs = words.map(_._2).scanLeft(0)(_ + _)
+      words.zip(offs).foreach { case ((v, n), off) => Words.writeWordLE(a, off, v, n) }
+      words.zip(offs).forall { case ((v, n), off) =>
+        Words.readWordLE(a, off, n) == (v & Words.mask(8 * n)) &&
+          (0 until n).forall(i => a(off + i) == (v >>> (8 * i)).toByte)
       }
     })
+  }
+
+  test("property: Words.unzigzag inverts zigzag, which keeps small residuals small") {
+    val gen = for {
+      w <- Gen.oneOf(32, 64)
+      v <- Gen.choose(Long.MinValue, Long.MaxValue)
+    } yield (w, v)
+    checkProp(Prop.forAll(gen) { case (w, v) =>
+      val z = Words.zigzag(v, w)
+      (z & ~Words.mask(w)) == 0 && (Words.unzigzag(z) & Words.mask(w)) == (v & Words.mask(w))
+    }, minTests = 200)
+    assert(Seq(0L, -1L, 1L, -2L, 2L).map(Words.zigzag(_, 64)) == Seq(0L, 1L, 2L, 3L, 4L))
+    assert(Words.zigzag(0xffffffffL, 32) == 1L && Words.zigzag(0x80000000L, 32) == 0xffffffffL)
   }
 
   test("property: Frame.read returns the running sum of the lengths Frame.write stored") {
@@ -201,6 +182,26 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     intercept[Exception] {
       Parallel.map((1 to 10).toIndexedSeq, 4)(i => if (i == 5) throw new RuntimeException("boom") else i)
     }
+  }
+
+  test("Parallel.map at every swept width leaves at most 64 pool threads alive") {
+    for (t <- Seq(1, 2, 4, 8, 16, 24, 32)) Parallel.map((1 to 4 * t).toIndexedSeq, t)(_ + 1)
+    val alive = Thread.getAllStackTraces.keySet.toArray(Array.empty[Thread])
+      .count(th => th.isAlive && th.getName.startsWith("repro-parallel"))
+    assert(alive <= 64, s"$alive pool threads alive")
+  }
+
+  test("Parallel.map throws only after every item has stopped") {
+    val running = new java.util.concurrent.atomic.AtomicInteger
+    val e = intercept[IllegalStateException] {
+      Parallel.map((0 until 16).toIndexedSeq, 8) { i =>
+        running.incrementAndGet()
+        try { if (i == 0) throw new IllegalStateException("item 0") else Thread.sleep(200) }
+        finally running.decrementAndGet()
+      }
+    }
+    assert(e.getMessage == "item 0")
+    assert(running.get == 0, s"${running.get} items still running")
   }
 
   test("CodecRegistry exposes the 14 evaluated methods") {

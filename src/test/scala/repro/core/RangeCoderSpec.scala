@@ -6,7 +6,7 @@ import org.scalacheck.{Gen, Prop}
 class RangeCoderSpec extends SparkSpec with PropSupport {
 
   private def roundtrip(symbols: Seq[Int], alphabet: Int): Seq[Int] = {
-    val enc = new RangeEncoder
+    val enc = new RangeEncoder(new BitWriter)
     val em  = new AdaptiveModel(alphabet)
     symbols.foreach(em.encodeSymbol(enc, _))
     val bytes = enc.finish().toArray
@@ -24,7 +24,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
   test("skewed symbols roundtrip and compress") {
     val rng  = new scala.util.Random(2)
     val syms = Seq.fill(20000)(if (rng.nextInt(10) < 9) 3 else rng.nextInt(65))
-    val enc  = new RangeEncoder
+    val enc  = new RangeEncoder(new BitWriter)
     val m    = new AdaptiveModel(65)
     syms.foreach(m.encodeSymbol(enc, _))
     val bytes = enc.finish().toArray
@@ -59,7 +59,7 @@ class RangeCoderSpec extends SparkSpec with PropSupport {
   test("the decoder reads exactly the bytes the encoder wrote, and raises on a cut stream") {
     val rng   = new scala.util.Random(3)
     val syms  = Seq.fill(5000)(if (rng.nextInt(4) == 0) rng.nextInt(65) else 7)
-    val enc   = new RangeEncoder
+    val enc   = new RangeEncoder(new BitWriter)
     val em    = new AdaptiveModel(65)
     syms.foreach(em.encodeSymbol(enc, _))
     val bytes = enc.finish().toArray

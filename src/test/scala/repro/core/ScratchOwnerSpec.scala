@@ -50,8 +50,10 @@ class ScratchOwnerSpec extends SparkSpec {
     assert(zstd == Seq(1), s"ZstdBackend's ThreadLocals: $zstd")
   }
 
-  test("KeptArray does not reappear in src/main") {
-    val found = for ((name, lines) <- sources; (line, i) <- lines.zipWithIndex if line.contains("KeptArray"))
+  /** The growable arrays and writers that [[Scratch]] and [[BitWriter]] replaced. */
+  for (gone <- Seq("KeptArray", "ByteBuf")) test(s"$gone does not reappear in src/main") {
+    val word  = s"\\b$gone\\b".r
+    val found = for ((name, lines) <- sources; (line, i) <- lines.zipWithIndex if word.findFirstIn(line).isDefined)
       yield s"$name:${i + 1}"
     assert(found.isEmpty, found.mkString(", "))
   }

@@ -21,7 +21,7 @@ object FullPrevLza6 {
   }
 
   def compress(in: Array[Byte]): (Array[Byte], WorkProfile) = {
-    val out   = new ByteBuf(in.length / 2 + 64)
+    val out   = new java.io.ByteArrayOutputStream(in.length / 2 + 64)
     val head  = Array.fill(1 << HashBits)(-1)
     val prev  = new Array[Int](in.length)
     var ops   = 0L
@@ -76,7 +76,7 @@ object FullPrevLza6 {
     if (litFrom < in.length || in.isEmpty) emit(in.length, 0, 0)
     else if (litFrom == in.length && out.size == 0) emit(in.length, 0, 0)
 
-    val bytes = out.toArray
+    val bytes = out.toByteArray
     (bytes, WorkProfile(in.length.toLong * 4, bytes.length, ops + in.length.toLong * 6, divergent = true))
   }
 }
