@@ -1,8 +1,5 @@
 package repro.codecs.cpu
 
-import java.lang.invoke.MethodHandles
-import java.nio.ByteOrder
-
 import repro.core._
 import repro.lz.{Lz4Backend, LzBackend, ZstdBackend}
 
@@ -60,10 +57,9 @@ abstract class BitshuffleBase(val threads: Int, backend: LzBackend) extends Thre
   * holds the group's 8 bytes of plane `q ^ 7`. The last `m % 8` values
   * follow the planes as little-endian bytes.
   *
-  * A whole group stores each word with one little-endian array-view store,
-  * which measured faster than eight byte stores. The inverse reads each word
-  * byte by byte: array-view loads have measured slower there before, and no
-  * whole-benchmark run has shown otherwise.
+  * A whole group stores and loads each plane word with one little-endian
+  * word access ([[repro.core.Words.putLongLE]], [[repro.core.Words.longLE]]);
+  * a short group's words are `count / 8` bytes wide.
   */
 object BitshuffleBase {
   /** Bytes per transpose chunk, L1-resident per the reference implementation. */
@@ -72,8 +68,6 @@ object BitshuffleBase {
   val BlockBytes = 65536
   /** Values per transpose group. */
   private val Group = 64
-
-  private val LongLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
 
   /** Shuffle the `len / elemSize` values of `bits` from `first` on into
     * `out(0 until len)`, chunk by chunk.
@@ -134,7 +128,7 @@ object BitshuffleBase {
       if (count < Group) {
         while (q < words) { Words.writeWordLE(out, at + (q ^ 7) * w, group(q), count >> 3); q += 1 }
       } else {
-        while (q < words) { LongLE.set(out, at + (q ^ 7) * w, group(q)); q += 1 }
+        while (q < words) { Words.putLongLE(out, at + (q ^ 7) * w, group(q)); q += 1 }
       }
       e += Group
     }
@@ -157,7 +151,7 @@ object BitshuffleBase {
       if (count < Group) {
         while (q < words) { group(q) = Words.readWordLE(in, at + (q ^ 7) * w, count >> 3); q += 1 }
       } else {
-        while (q < words) { group(q) = readLE8(in, at + (q ^ 7) * w); q += 1 }
+        while (q < words) { group(q) = Words.longLE(in, at + (q ^ 7) * w); q += 1 }
       }
       var s = 0
       if (words == Group) {
@@ -172,11 +166,6 @@ object BitshuffleBase {
     var i = mm
     while (i < m) { bits(v0 + i) = Words.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
   }
-
-  private def readLE8(in: Array[Byte], p: Int): Long =
-    (in(p) & 0xffL) | ((in(p + 1) & 0xffL) << 8) | ((in(p + 2) & 0xffL) << 16) | ((in(p + 3) & 0xffL) << 24) |
-      ((in(p + 4) & 0xffL) << 32) | ((in(p + 5) & 0xffL) << 40) | ((in(p + 6) & 0xffL) << 48) |
-      ((in(p + 7) & 0xffL) << 56)
 }
 
 /** bitshuffle::LZ4 — the shuffled stream encoded with LZ4. */

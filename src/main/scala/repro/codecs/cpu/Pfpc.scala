@@ -1,8 +1,5 @@
 package repro.codecs.cpu
 
-import java.lang.invoke.MethodHandles
-import java.nio.ByteOrder
-
 import repro.core._
 
 /** pFPC [Burtscher & Ratanaworabhan, DCC'09] — parallel FPC.
@@ -25,7 +22,7 @@ import repro.core._
   * chunk layout from the stream, so a stream decodes at any thread count.
   */
 final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
-  import Pfpc.{dfcmHash, fcmHash, LongBE, tables, zeroTouched}
+  import Pfpc.{dfcmHash, fcmHash, tables, zeroTouched}
 
   override def name: String     = "pFPC"
   override def platform: String = "CPU"
@@ -92,7 +89,7 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
       val code = (predBit << 3) | encodeLzb(lzb)
       if (((i - from) & 1) == 0) { cp = op; out(op) = (code << 4).toByte; op += 1 }
       else out(cp) = (out(cp) | code).toByte
-      LongBE.set(out, op, x << (lzb << 3)) // x is 0 when lzb is 8, so the shift by 0 is harmless
+      Words.putLongBE(out, op, x << (lzb << 3)) // x is 0 when lzb is 8, so the shift by 0 is harmless
       op += 8 - lzb
       i += 1
     }
@@ -122,7 +119,7 @@ final class Pfpc(val threads: Int = 8) extends ThreadedCodec {
         val lzb  = decodeLzb(code & 7)
         val x =
           if (lzb == 8) 0L // a JVM shift by 64 would shift by 0
-          else if (ip + 8 <= data.length) (LongBE.get(data, ip): Long) >>> (lzb << 3)
+          else if (ip + 8 <= data.length) Words.longBE(data, ip) >>> (lzb << 3)
           else {
             var r = 0L
             var k = 0
@@ -195,8 +192,6 @@ object Pfpc {
       i += 1
     }
   }
-
-  private val LongBE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.BIG_ENDIAN)
 
   /** Bytes a chunk of `n` words can fill: a code byte per pair, 8 residual
     * bytes per word, and the tail of the last 8-byte store.

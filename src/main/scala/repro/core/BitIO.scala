@@ -13,7 +13,7 @@ import java.util.Arrays
   * papers' layouts.
   *
   * Fields collect in a 64-bit accumulator. A write that completes a byte
-  * stores all eight bytes of the left-aligned pending bits at once and
+  * stores the left-aligned pending bits as one big-endian 8-byte word and
   * advances past the whole ones; the bytes after them are stale until the
   * next store, `align` or `toArray` overwrites them. No byte of the buffer
   * is read back, so a writer can start a new stream over the bytes of its
@@ -64,15 +64,7 @@ final class BitWriter(initialCapacity: Int = 1024) {
     val p = pending + n
     if (p >= 8) {
       ensure(8)
-      val w = acc << (64 - p) // the p pending bits, left-aligned
-      buf(bytePos)     = (w >>> 56).toByte
-      buf(bytePos + 1) = (w >>> 48).toByte
-      buf(bytePos + 2) = (w >>> 40).toByte
-      buf(bytePos + 3) = (w >>> 32).toByte
-      buf(bytePos + 4) = (w >>> 24).toByte
-      buf(bytePos + 5) = (w >>> 16).toByte
-      buf(bytePos + 6) = (w >>> 8).toByte
-      buf(bytePos + 7) = w.toByte
+      Words.putLongBE(buf, bytePos, acc << (64 - p)) // the p pending bits, left-aligned
       bytePos += p >>> 3
     }
     pending = p & 7
@@ -152,30 +144,33 @@ final class BitReader(buf: Array[Byte], startByte: Int = 0) {
   }
 
   /** Top the window up with whole bytes until it holds more than 56 bits.
-    * Away from the stream's last 7 bytes, that is one 8-byte gather whose
-    * trailing partial byte is masked off.
+    * Away from the stream's last 7 bytes, that is one big-endian 8-byte load
+    * whose trailing partial byte is masked off.
     */
   private def refill(n: Int): Unit = {
     val b = nextByte
     if (b + 8 <= buf.length) {
-      val w = ((buf(b) & 0xffL) << 56) | ((buf(b + 1) & 0xffL) << 48) |
-              ((buf(b + 2) & 0xffL) << 40) | ((buf(b + 3) & 0xffL) << 32) |
-              ((buf(b + 4) & 0xffL) << 24) | ((buf(b + 5) & 0xffL) << 16) |
-              ((buf(b + 6) & 0xffL) << 8) | (buf(b + 7) & 0xffL)
+      val w = Words.longBE(buf, b)
       val r = (64 - avail) & 7 // low bits of w past the last whole byte that fits
       window |= (w >>> avail) & (-1L << r)
       nextByte = b + ((64 - avail) >>> 3)
       avail = 64 - r
-    } else {
-      while (avail <= 56 && nextByte < buf.length) {
-        window |= (buf(nextByte) & 0xffL) << (56 - avail)
-        avail += 8
-        nextByte += 1
-      }
-      if (avail < n)
-        throw new ArrayIndexOutOfBoundsException(
-          s"read of $n bits runs past the end of a ${buf.length}-byte stream")
+    } else refillTail(n)
+  }
+
+  /** [[refill]] within the stream's last 7 bytes: one byte at a time. A
+    * method of its own, so that the `refill` the JIT inlines into every read
+    * stays small.
+    */
+  private def refillTail(n: Int): Unit = {
+    while (avail <= 56 && nextByte < buf.length) {
+      window |= (buf(nextByte) & 0xffL) << (56 - avail)
+      avail += 8
+      nextByte += 1
     }
+    if (avail < n)
+      throw new ArrayIndexOutOfBoundsException(
+        s"read of $n bits runs past the end of a ${buf.length}-byte stream")
   }
 
   def readBit(): Int = take(1).toInt

@@ -54,30 +54,16 @@ final case class FpBlock(precision: Precision, extent: Seq[Long], bits: Array[Lo
   }
 
   /** The raw bytes of values `first until first + len / precision.bytes`
-    * into `out(0 until len)`. Hand-rolled loops: this sits under every
-    * codec's timed path, so it must not bottleneck on ByteBuffer call
-    * overhead.
+    * into `out(0 until len)`, one little-endian word store per value.
     */
   def writeBytes(first: Int, out: Array[Byte], len: Int): Unit = {
     val count = len / precision.bytes
     var i     = 0
     precision match {
       case Precision.Double =>
-        while (i < count) {
-          val v = bits(first + i); val o = i * 8
-          out(o) = v.toByte;             out(o + 1) = (v >>> 8).toByte
-          out(o + 2) = (v >>> 16).toByte; out(o + 3) = (v >>> 24).toByte
-          out(o + 4) = (v >>> 32).toByte; out(o + 5) = (v >>> 40).toByte
-          out(o + 6) = (v >>> 48).toByte; out(o + 7) = (v >>> 56).toByte
-          i += 1
-        }
+        while (i < count) { Words.putLongLE(out, i * 8, bits(first + i)); i += 1 }
       case Precision.Single =>
-        while (i < count) {
-          val v = bits(first + i).toInt; val o = i * 4
-          out(o) = v.toByte;             out(o + 1) = (v >>> 8).toByte
-          out(o + 2) = (v >>> 16).toByte; out(o + 3) = (v >>> 24).toByte
-          i += 1
-        }
+        while (i < count) { Words.putIntLE(out, i * 4, bits(first + i).toInt); i += 1 }
     }
   }
 }
@@ -120,21 +106,9 @@ object FpBlock {
     var i = 0
     precision match {
       case Precision.Double =>
-        while (i < n) {
-          val o = i * 8
-          bits(first + i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
-            ((bytes(o + 2) & 0xffL) << 16) | ((bytes(o + 3) & 0xffL) << 24) |
-            ((bytes(o + 4) & 0xffL) << 32) | ((bytes(o + 5) & 0xffL) << 40) |
-            ((bytes(o + 6) & 0xffL) << 48) | ((bytes(o + 7) & 0xffL) << 56)
-          i += 1
-        }
+        while (i < n) { bits(first + i) = Words.longLE(bytes, i * 8); i += 1 }
       case Precision.Single =>
-        while (i < n) {
-          val o = i * 4
-          bits(first + i) = (bytes(o) & 0xffL) | ((bytes(o + 1) & 0xffL) << 8) |
-            ((bytes(o + 2) & 0xffL) << 16) | ((bytes(o + 3) & 0xffL) << 24)
-          i += 1
-        }
+        while (i < n) { bits(first + i) = Words.intLE(bytes, i * 4) & 0xffffffffL; i += 1 }
     }
   }
 }

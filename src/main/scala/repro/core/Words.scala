@@ -1,11 +1,49 @@
 package repro.core
 
-/** Reinterpret an FpBlock as a stream of 64-bit words, the input unit of the
-  * double-only codecs (FPC/pFPC, GFC). Little-endian semantics: two single-
-  * precision patterns pack into one word (low half first), matching how the
-  * paper fed single-precision files to these tools. No byte-array round trip.
+import java.lang.invoke.MethodHandles
+import java.nio.ByteOrder
+
+/** Words and their byte order: the one module that decides how a multi-byte
+  * value sits in a byte array.
+  *
+  * [[pack]] reinterprets an FpBlock as a stream of 64-bit words, the input
+  * unit of the double-only codecs (FPC/pFPC, GFC). Little-endian semantics:
+  * two single-precision patterns pack into one word (low half first),
+  * matching how the paper fed single-precision files to these tools.
+  *
+  * The fixed-width accessors ([[longLE]], [[putLongLE]], [[longBE]],
+  * [[putLongBE]], [[intLE]], [[putIntLE]], [[intBE]], [[shortLE]],
+  * [[putShortLE]]) load or store one word at a byte offset through an array
+  * view, and throw `ArrayIndexOutOfBoundsException` for a word that does not
+  * fit, as a byte loop would. [[writeWordLE]] and [[readWordLE]] serve the
+  * widths a codec picks at run time.
   */
 object Words {
+  private val ShortLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Short]], ByteOrder.LITTLE_ENDIAN)
+  private val IntLE   = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.LITTLE_ENDIAN)
+  private val IntBE   = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.BIG_ENDIAN)
+  private val LongLE  = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
+  private val LongBE  = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.BIG_ENDIAN)
+
+  /** The 8 bytes at `b(i)`, least significant first. */
+  def longLE(b: Array[Byte], i: Int): Long = (LongLE.get(b, i): Long)
+  def putLongLE(b: Array[Byte], i: Int, v: Long): Unit = LongLE.set(b, i, v)
+
+  /** The 8 bytes at `b(i)`, most significant first. */
+  def longBE(b: Array[Byte], i: Int): Long = (LongBE.get(b, i): Long)
+  def putLongBE(b: Array[Byte], i: Int, v: Long): Unit = LongBE.set(b, i, v)
+
+  /** The 4 bytes at `b(i)`, least significant first. */
+  def intLE(b: Array[Byte], i: Int): Int = (IntLE.get(b, i): Int)
+  def putIntLE(b: Array[Byte], i: Int, v: Int): Unit = IntLE.set(b, i, v)
+
+  /** The 4 bytes at `b(i)`, most significant first. */
+  def intBE(b: Array[Byte], i: Int): Int = (IntBE.get(b, i): Int)
+
+  /** The 2 bytes at `b(i)`, least significant first, as an unsigned value. */
+  def shortLE(b: Array[Byte], i: Int): Int = (ShortLE.get(b, i): Short) & 0xffff
+  def putShortLE(b: Array[Byte], i: Int, v: Int): Unit = ShortLE.set(b, i, v.toShort)
+
   def pack(block: FpBlock): Array[Long] = block.precision match {
     case Precision.Double => block.bits
     case Precision.Single =>

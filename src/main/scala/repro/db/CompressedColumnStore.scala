@@ -44,7 +44,7 @@ object CompressedColumnStore {
     // that would otherwise dominate the ~10-100 ms differences under test
     val (chunks, readSec) = Measure.best(2)(readChunks(spark, path))
     val ((values, _), decode) = Measure.codec(codec, 3)(decodeChunks(chunks, codec, precision)) {
-      case (values, work) => (work, chunks.map(_.payload.length.toLong).sum, values.length * 8L)
+      case (values, work) => (work, chunks.map(_.payload.length.toLong).sum, values.length.toLong * precision.bytes)
     }
 
     val df = column(spark, values).cache()

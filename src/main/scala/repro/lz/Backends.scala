@@ -1,13 +1,11 @@
 package repro.lz
 
-import java.lang.invoke.MethodHandles
 import java.lang.ref.Cleaner
-import java.nio.ByteOrder
 
 import net.jpountz.lz4.{LZ4Exception, LZ4Factory}
 import com.github.luben.zstd.{Zstd, ZstdCompressCtx, ZstdDecompressCtx, ZstdException}
 
-import repro.core.{Frame, Parallel, Scratch}
+import repro.core.{Frame, Parallel, Scratch, Words}
 
 /** A dictionary coder behind bitshuffle and nvCOMP::LZ4: one shell for both
   * libraries. The shell owns what the two codecs share: their frames of
@@ -103,7 +101,10 @@ sealed abstract class LzBackend(name: String) extends Serializable {
   * stale slot reads as offset 0, as a zero slot of lz4-java's fresh table
   * does. Longer inputs (only perfbench's `lz.lz4` probe on whole
   * blocks sends them) go to lz4-java's fast compressor, whose general coder
-  * takes over at the same split.
+  * takes over at the same split. The port's words are little-endian, as
+  * lz4-java's Unsafe instance reads them on a little-endian host, through
+  * [[repro.core.Words]]: the hashed 4-byte words, the 8-byte literal copies
+  * and match compares, and the format's 2-byte match offsets.
   *
   * Decoding uses lz4-java's safe decompressor, which is bounded by the
   * part's length.
@@ -124,10 +125,6 @@ object Lz4Backend extends LzBackend("LZ4") {
   private final val MlBits       = 4
   private final val Mask4        = 15 // ML_MASK and RUN_MASK
 
-  private val ShortLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Short]], ByteOrder.LITTLE_ENDIAN)
-  private val IntLE   = MethodHandles.byteArrayViewVarHandle(classOf[Array[Int]], ByteOrder.LITTLE_ENDIAN)
-  private val LongLE  = MethodHandles.byteArrayViewVarHandle(classOf[Array[Long]], ByteOrder.LITTLE_ENDIAN)
-
   private[lz] def bound(len: Int): Int = compressor.maxCompressedLength(len)
 
   private[lz] def encode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int): Int =
@@ -137,8 +134,6 @@ object Lz4Backend extends LzBackend("LZ4") {
   protected def decode(in: Array[Byte], off: Int, len: Int, out: Array[Byte], outOff: Int, outLen: Int): Int =
     try decompressor.decompress(in, off, len, out, outOff, outLen)
     catch { case e: LZ4Exception => malformed(len, e) }
-
-  private def readInt(b: Array[Byte], i: Int): Int = (IntLE.get(b, i): Int)
 
   private def hash64k(word: Int): Int = (word * -1640531535) >>> (32 - HashLog64k)
 
@@ -172,11 +167,11 @@ object Lz4Backend extends LzBackend("LZ4") {
         step = searchMatchNb >>> SkipStrength
         searchMatchNb += 1
         if (forwardOff > mfLimit) return lastLiterals(src, anchor, srcEnd, dest, dOff)
-        word = readInt(src, sOff)
+        word = Words.intLE(src, sOff)
         val h = hash64k(word)
         matchOff = math.max(slots(h) - toSlot, srcOff) // a stale slot: offset 0
         slots(h) = sOff + toSlot
-      } while (readInt(src, matchOff) != word)
+      } while (Words.intLE(src, matchOff) != word)
 
       // Extend the match backwards over the pending literals.
       while (matchOff > srcOff && sOff > anchor && src(matchOff - 1) == src(sOff - 1)) {
@@ -193,13 +188,13 @@ object Lz4Backend extends LzBackend("LZ4") {
       // the literals (an offset, then at least a token and 5 last
       // literals), which overwrite the excess.
       var k = 0
-      while (k < runLen) { LongLE.set(dest, dOff + k, (LongLE.get(src, anchor + k): Long)); k += 8 }
+      while (k < runLen) { Words.putLongLE(dest, dOff + k, Words.longLE(src, anchor + k)); k += 8 }
       dOff += runLen
 
       // Matches, each followed at once by the next one found where it ends.
       var matching = true
       while (matching) {
-        ShortLE.set(dest, dOff, (sOff - matchOff).toShort)
+        Words.putShortLE(dest, dOff, sOff - matchOff)
         dOff += 2
         sOff += MinMatch
         val matchLen = commonBytes(src, matchOff + MinMatch, sOff, srcLimit)
@@ -209,12 +204,12 @@ object Lz4Backend extends LzBackend("LZ4") {
 
         if (sOff > mfLimit) matching = false // the rest are last literals
         else {
-          slots(hash64k(readInt(src, sOff - 2))) = sOff - 2 + toSlot
-          word = readInt(src, sOff)
+          slots(hash64k(Words.intLE(src, sOff - 2))) = sOff - 2 + toSlot
+          word = Words.intLE(src, sOff)
           val h = hash64k(word)
           matchOff = math.max(slots(h) - toSlot, srcOff)
           slots(h) = sOff + toSlot
-          matching = readInt(src, matchOff) == word
+          matching = Words.intLE(src, matchOff) == word
           if (matching) { tokenOff = dOff; token = 0; dOff += 1 }
         }
       }
@@ -245,7 +240,7 @@ object Lz4Backend extends LzBackend("LZ4") {
     var r = ref
     var s = sOff
     while (s <= limit - 8) {
-      val diff = (LongLE.get(src, s): Long) ^ (LongLE.get(src, r): Long)
+      val diff = Words.longLE(src, s) ^ Words.longLE(src, r)
       if (diff != 0) return s - sOff + (java.lang.Long.numberOfTrailingZeros(diff) >>> 3)
       r += 8
       s += 8

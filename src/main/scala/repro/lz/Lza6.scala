@@ -1,6 +1,6 @@
 package repro.lz
 
-import repro.core.{Scratch, WorkProfile}
+import repro.core.{Scratch, WorkProfile, Words}
 
 /** Hash-chain LZ77 byte codec — the reproduction of SPDP's final "LZa6"
   * reducer stage (a fast LZ77 variant with a sliding window).
@@ -44,11 +44,6 @@ object Lza6 {
     */
   private val Links     = Window << 1
 
-
-  /** The 4 bytes at `i`, big-endian. */
-  private def word(b: Array[Byte], i: Int): Int =
-    ((b(i) & 0xff) << 24) | ((b(i + 1) & 0xff) << 16) | ((b(i + 2) & 0xff) << 8) | (b(i + 3) & 0xff)
-
   private def hash(word: Int): Int = (word * -1640531527) >>> (32 - HashBits) // Knuth multiplicative hash
 
   /** The sequences of one `compress` call, written to `out` in order. It
@@ -72,7 +67,7 @@ object Lza6 {
       if (litLen >= 15) { var r = litLen - 15; while (r >= 255) { put(255); r -= 255 }; put(r) }
       System.arraycopy(in, litFrom, out, op, litLen); op += litLen
       if (matchLen > 0) {
-        put(offset); put(offset >>> 8)
+        Words.putShortLE(out, op, offset); op += 2
         if (matchLen - MinMatch >= 15) {
           var r = matchLen - MinMatch - 15; while (r >= 255) { put(255); r -= 255 }; put(r)
         }
@@ -112,7 +107,7 @@ object Lza6 {
       if (i >= built) {
         // Link the positions a match skipped, then one window ahead.
         val to = math.min(last + 1, i + Window)
-        var w  = word(in, built) >>> 8 // the word rolls in one byte per position
+        var w  = Words.intBE(in, built) >>> 8 // the word rolls in one byte per position
         while (built < to) {
           w = (w << 8) | (in(built + 3) & 0xff)
           val h = hash(w); prev(built & ring) = head(h) - base; head(h) = built + base; built += 1
@@ -122,12 +117,12 @@ object Lza6 {
       var bestLen = 0
       var bestOff = 0
       if (cand >= 0 && i - cand <= Window - 1) {
-        val w     = word(in, i)
+        val w     = Words.intBE(in, i)
         val max   = n - i
         var chain = 0
         while (cand >= 0 && i - cand <= Window - 1 && chain < MaxChain) {
           ops += 8
-          if (bestLen < max && in(cand + bestLen) == in(i + bestLen) && word(in, cand) == w) {
+          if (bestLen < max && in(cand + bestLen) == in(i + bestLen) && Words.intBE(in, cand) == w) {
             val m = java.util.Arrays.mismatch(in, cand + MinMatch, cand + max, in, i + MinMatch, n)
             val l = if (m < 0) max else MinMatch + m
             if (l > bestLen) { bestLen = l; bestOff = i - cand }
@@ -167,7 +162,7 @@ object Lza6 {
       if (litLen > outLen - op) overrun(outLen)
       System.arraycopy(in, ip, out, op, litLen); ip += litLen; op += litLen
       if (op < outLen) {
-        val offset = (in(ip) & 0xff) | ((in(ip + 1) & 0xff) << 8); ip += 2
+        val offset = Words.shortLE(in, ip); ip += 2
         var matchLen = (token & 0xf) + MinMatch
         if ((token & 0xf) == 15) {
           var b = 255

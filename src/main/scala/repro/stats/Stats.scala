@@ -83,7 +83,8 @@ object MannWhitney {
     val variance  = n1.toDouble * n2 / 12.0 *
       ((nTot + 1).toDouble - tieSum / (nTot * (nTot - 1)))
     val mu = n1.toDouble * n2 / 2.0
-    val z  = if (variance <= 0) 0.0 else (u - mu + 0.5) / math.sqrt(variance)
+    // u <= mu; the half-unit continuity correction moves it towards mu, never past it
+    val z  = if (variance <= 0) 0.0 else math.min(0.0, u - mu + 0.5) / math.sqrt(variance)
     val p  = 2.0 * Gaussian.cdf(-math.abs(z))
     Result(u, z, math.min(1.0, p))
   }

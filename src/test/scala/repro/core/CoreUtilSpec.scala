@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{PropSupport, SparkSpec}
 import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop.propBoolean
 
 class CoreUtilSpec extends SparkSpec with PropSupport {
 
@@ -50,7 +51,42 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
           (0 until n).forall(i => a(off + i) == (v >>> (8 * i)).toByte)
       }
     })
+    // The fixed-width accessors: the bytes of writeWordLE/readWordLE at their
+    // width, reversed for big-endian, at every offset up to the last whole word.
+    val accessorGen = for {
+      acc  <- Gen.oneOf(accessors)
+      a    <- Gen.choose(0, 24).flatMap(Gen.listOfN(_, Gen.choose(Byte.MinValue, Byte.MaxValue)).map(_.toArray))
+      v    <- Gen.choose(Long.MinValue, Long.MaxValue)
+      past <- Gen.choose(1, 9)
+    } yield (acc, a, v, past)
+    checkProp(Prop.forAll(accessorGen) { case ((name, n, bigEndian, load, store), a, v, past) =>
+      val bits = 8 * n
+      def order(x: Long) = if (bigEndian) java.lang.Long.reverseBytes(x) >>> (64 - bits) else x & Words.mask(bits)
+      val inRange = (0 to a.length - n).forall { off =>
+        val stored = a.clone
+        store.foreach(_(stored, off, v))
+        val expected = a.clone
+        if (store.isDefined) Words.writeWordLE(expected, off, order(v), n)
+        load(a, off) == order(Words.readWordLE(a, off, n)) && stored.sameElements(expected)
+      }
+      def throws(f: => Unit) =
+        try { f; false } catch { case _: ArrayIndexOutOfBoundsException => true }
+      val off = math.max(0, a.length - n + 1) + past - 1 // past the last whole word
+      val outOfRange = throws(load(a, off)) && throws(load(a, -1)) &&
+        store.forall(s => throws(s(a.clone, off, v)) && throws(s(a.clone, -1, v)))
+      (inRange && outOfRange) :| name
+    }, minTests = 200)
   }
+
+  /** Each fixed-width accessor of [[Words]]: its name, width in bytes, byte
+    * order, load (as the low bits of a Long) and store, if it has one.
+    */
+  private val accessors: Seq[(String, Int, Boolean, (Array[Byte], Int) => Long, Option[(Array[Byte], Int, Long) => Unit])] = Seq(
+    ("longLE", 8, false, Words.longLE(_, _), Some(Words.putLongLE(_, _, _))),
+    ("longBE", 8, true, Words.longBE(_, _), Some(Words.putLongBE(_, _, _))),
+    ("intLE", 4, false, (b, i) => Words.intLE(b, i) & 0xffffffffL, Some((b, i, v) => Words.putIntLE(b, i, v.toInt))),
+    ("intBE", 4, true, (b, i) => Words.intBE(b, i) & 0xffffffffL, None),
+    ("shortLE", 2, false, (b, i) => Words.shortLE(b, i).toLong, Some((b, i, v) => Words.putShortLE(b, i, v.toInt))))
 
   test("property: Words.unzigzag inverts zigzag, which keeps small residuals small") {
     val gen = for {

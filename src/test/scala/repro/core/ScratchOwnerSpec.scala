@@ -10,8 +10,10 @@ import repro.SparkSpec
 /** A thread's kept state has one owner, [[Scratch]]: no codec or helper in
   * `src/main/scala` keeps its own per-thread field. The only other
   * `ThreadLocal` is zstd's contexts in `lz/Backends.scala`, whose native
-  * memory a `Cleaner` frees. Read from the sources, so that a new
-  * per-thread field fails here before any stream shows it.
+  * memory a `Cleaner` frees. Likewise byte order has one owner, [[Words]]:
+  * no other source makes an array view or names a `ByteOrder`. Read from the
+  * sources, so that a new per-thread field or word view fails here before
+  * any stream shows it.
   */
 class ScratchOwnerSpec extends SparkSpec {
   private val root: Path = Paths.get("src", "main", "scala")
@@ -48,6 +50,15 @@ class ScratchOwnerSpec extends SparkSpec {
     assert(stray.isEmpty, stray.mkString("\n"))
     val zstd = sources.collect { case ("repro/lz/Backends.scala", lines) => lines.count(_.contains("ThreadLocal.withInitial")) }
     assert(zstd == Seq(1), s"ZstdBackend's ThreadLocals: $zstd")
+  }
+
+  test("no array view or ByteOrder in src/main outside core/Words.scala") {
+    val view  = "byteArrayViewVarHandle|\\bByteOrder\\b".r
+    val stray = for {
+      (name, lines) <- sources if name != "repro/core/Words.scala"
+      (line, i)     <- lines.zipWithIndex if view.findFirstIn(line).isDefined
+    } yield s"$name:${i + 1}: ${line.trim}"
+    assert(stray.isEmpty, stray.mkString("\n"))
   }
 
   /** The growable arrays and writers that [[Scratch]] and [[BitWriter]] replaced. */

@@ -2,8 +2,10 @@ package repro.db
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.core.CodecRegistry
+import repro.core.{CodecRegistry, Precision, WorkProfile}
 import repro.data.FcDatasets
+import repro.gpusim.GpuModel
+import repro.harness.BlockedRunner
 
 /** The simulated in-memory database: Parquet round-trip, decode correctness
   * against the source block, and — crucially — query results verified against
@@ -35,6 +37,22 @@ class ColumnStoreSpec extends SparkSpec {
     assert(t.counts.size == 10)
     assert(t.counts == t.counts.sorted, "counts over increasing thresholds are monotone")
     assert(t.counts.last == block.n.toLong, "last threshold covers every value")
+  }
+
+  test("a GPU codec's modelled decode copies back precision.bytes per value of a single-precision column") {
+    val spec  = FcDatasets.byName("tpcDS-store")
+    assert(spec.precision == Precision.Single)
+    val block = spec.block(spark, 3000)
+    val codec = CodecRegistry.byName("GFC")
+    val path  = tmp("gfc-dsstore")
+    CompressedColumnStore.write(spark, path, block, codec, valuesPerChunk = 1024)
+    val pages    = BlockedRunner.split(block, 1024 * 4)
+    val payloads = pages.map(page => codec.compress(page).bytes)
+    val work     = pages.lazyZip(payloads).map((page, p) => codec.decompress(p, spec.precision, page.extent).work)
+    val t    = CompressedColumnStore.readDecodeQuery(spark, path, spec.name, codec, spec.precision)
+    val expected = GpuModel.endToEndSeconds(work.foldLeft(WorkProfile.zero)(_ + _),
+                                            payloads.map(_.length.toLong).sum, block.n * 4L) * 1e3
+    assert(t.decodeMs == expected, s"decodeMs ${t.decodeMs} != $expected")
   }
 
   for (codecName <- Seq("Chimp", "MPC")) {

@@ -90,6 +90,15 @@ class StatsSpec extends SparkSpec {
     assert(r.pTwoSided > 0.9, s"p=${r.pTwoSided}")
   }
 
+  test("Mann-Whitney: the continuity correction stops at mu, so identical samples give p == 1") {
+    // Equal CR lists with ties, as Table 9 compares for codecs that ignore dimensions.
+    val a = Seq(1.07, 1.21, 1.21, 1.35, 2.5, 3.0, 3.0)
+    val r = MannWhitney.test(a, a)
+    assert(r.u == a.size * a.size / 2.0)
+    assert(r.z == 0.0 && r.pTwoSided == 1.0, s"z=${r.z} p=${r.pTwoSided}")
+    assert(MannWhitney.test(Seq(1.0, 2.0), Seq(1.5, 1.5)).pTwoSided == 1.0)
+  }
+
   test("Mann-Whitney: disjoint samples give small p") {
     val a = (1 to 15).map(_.toDouble)
     val b = (100 to 114).map(_.toDouble)

@@ -15,8 +15,10 @@ against itself: the base from .bench_base/ and a second copy of it in
 with equal code. The output holds every run's end-to-end metrics, and per
 metric each side's median and quartiles, the change's median relative to
 the base's, the quartiles of the change's relative difference within each
-pair, the A/A pair's relative difference, and how many pairs the change
-won, with the core count and the JVM.
+pair, the A/A pair's relative difference, how many pairs the change won, and
+`worse_than_bound`: whether the change's median is worse than the base's by
+more than the metric's bound. Per workload, `cells` sums each side's failed
+and attempted cells over its pairs. The core count and the JVM are recorded.
 """
 import argparse
 import json
@@ -135,13 +137,17 @@ def main():
             b = [r["metrics"][name] for r in runs[w]["base"]]
             c = [r["metrics"][name] for r in runs[w]["change"]]
             wins = sum((cv < bv) if lower else (cv > bv) for bv, cv in zip(b, c))
+            rel = statistics.median(c) / statistics.median(b) - 1
             metrics[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                              "base": summary(b), "change": summary(c),
-                             "change_vs_base": statistics.median(c) / statistics.median(b) - 1,
+                             "change_vs_base": rel,
+                             "worse_than_bound": (rel if lower else -rel) > m["bound"],
                              "pair_change_vs_base": summary([cv / bv - 1 for bv, cv in zip(b, c)]),
                              "aa_vs_base": aa_runs[w][1]["metrics"][name] / aa_runs[w][0]["metrics"][name] - 1,
                              "change_wins": f"{wins}/{len(b)}"}
-        report["workloads"][w] = {"metrics": metrics, "runs": runs[w], "aa_runs": aa_runs[w]}
+        cells = {side: {k: sum(r[k] for r in runs[w][side]) for k in ("failed", "attempted")}
+                 for side in ("base", "change")}
+        report["workloads"][w] = {"metrics": metrics, "cells": cells, "runs": runs[w], "aa_runs": aa_runs[w]}
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
