@@ -110,10 +110,11 @@ object NdzipCore {
 
   // ---------------------------------------------------------- transform ----
 
-  /** Separable forward difference along each axis of the s^dims cube. Along
-    * an axis of stride `stride`, the cube splits into runs of `stride × side`
-    * elements; in each, every element past the first `stride` takes the
-    * difference to the one `stride` before it.
+  /** Separable forward difference along each axis of the s^dims cube in
+    * `a(0 until BlockElems)`. Along an axis of stride `stride`, the cube
+    * splits into runs of `stride × side` elements; in each, every element
+    * past the first `stride` takes the difference to the one `stride` before
+    * it.
     */
   def forwardLorenzo(a: Array[Long], dims: Int, side: Int, w: Int): Unit = {
     val m = Words.mask(w)
@@ -122,7 +123,7 @@ object NdzipCore {
       val stride = pow(side, dims - 1 - d)
       val span   = stride * side
       var base   = 0
-      while (base < a.length) {
+      while (base < BlockElems) {
         var i = base + span - 1
         while (i >= base + stride) { a(i) = (a(i) - a(i - stride)) & m; i -= 1 }
         base += span
@@ -138,7 +139,7 @@ object NdzipCore {
       val stride = pow(side, dims - 1 - d)
       val span   = stride * side
       var base   = 0
-      while (base < a.length) {
+      while (base < BlockElems) {
         var i = base + stride
         while (i < base + span) { a(i) = (a(i) + a(i - stride)) & m; i += 1 }
         base += span
@@ -151,7 +152,8 @@ object NdzipCore {
 
   /** Chunked bit transpose + zero-word elimination over one tile buffer,
     * into `out` from `off`, which has room for [[tileBound]]; the bytes
-    * written. Transposes `work` in place.
+    * written. Transposes `work` in place. Each header and kept word is one
+    * 4- or 8-byte store.
     */
   private def encodeResiduals(work: Array[Long], w: Int, out: Array[Byte], off: Int): Int = {
     val bytes = w / 8
@@ -162,9 +164,9 @@ object NdzipCore {
       var head = 0L
       var i = 0
       while (i < w) { if (work(base + i) != 0) head |= 1L << i; i += 1 }
-      Words.writeWordLE(out, pos, head, bytes); pos += bytes
+      Words.putWordLE(out, pos, head, bytes); pos += bytes
       i = 0
-      while (i < w) { if (work(base + i) != 0) { Words.writeWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
+      while (i < w) { if (work(base + i) != 0) { Words.putWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
       base += w
     }
     pos - off
@@ -173,22 +175,26 @@ object NdzipCore {
   /** The most bytes a tile takes: each chunk's header and all its words. */
   private def tileBound(w: Int): Int = BlockElems / w * (w + 1) * (w / 8)
 
-  private def decodeResiduals(data: Array[Byte], off: Int, w: Int): (Array[Long], Int) = {
-    val work  = new Array[Long](BlockElems)
+  /** The inverse of [[encodeResiduals]], into `work(0 until BlockElems)`;
+    * the bytes read. Every word of `work` is written, the dropped ones as
+    * zero, so `work` may hold stale words.
+    */
+  private def decodeResiduals(data: Array[Byte], off: Int, w: Int, work: Array[Long]): Int = {
     val bytes = w / 8
     var pos   = off
     var base  = 0
     while (base < BlockElems) {
-      val head = Words.readWordLE(data, pos, bytes); pos += bytes
+      val head = Words.wordLE(data, pos, bytes); pos += bytes
       var i = 0
       while (i < w) {
-        if (((head >>> i) & 1L) != 0) { work(base + i) = Words.readWordLE(data, pos, bytes); pos += bytes }
+        if (((head >>> i) & 1L) != 0) { work(base + i) = Words.wordLE(data, pos, bytes); pos += bytes }
+        else work(base + i) = 0L
         i += 1
       }
       BitTranspose.square(work, base, w)
       base += w
     }
-    (work, pos - off)
+    pos - off
   }
 
   // ------------------------------------------------------------ pipeline ---
@@ -201,22 +207,27 @@ object NdzipCore {
   private def compressTile(work: Array[Long], dims: Int, w: Int, out: Array[Byte], off: Int): Int = {
     forwardLorenzo(work, dims, sideFor(dims), w)
     var i = 0
-    while (i < work.length) { work(i) = Words.zigzag(work(i), w); i += 1 }
+    while (i < BlockElems) { work(i) = Words.zigzag(work(i), w); i += 1 }
     encodeResiduals(work, w, out, off)
   }
 
-  def decompressBlock(data: Array[Byte], off: Int, dims: Int, w: Int): (Array[Long], Int) = {
-    val (work, consumed) = decodeResiduals(data, off, w)
+  /** Decode the tile at `data(off)` into `work(0 until BlockElems)`, which
+    * may hold stale words; the bytes read.
+    */
+  def decompressBlock(data: Array[Byte], off: Int, dims: Int, w: Int, work: Array[Long]): Int = {
+    val consumed = decodeResiduals(data, off, w, work)
     val m = Words.mask(w)
     var i = 0
-    while (i < work.length) { work(i) = Words.unzigzag(work(i)) & m; i += 1 }
+    while (i < BlockElems) { work(i) = Words.unzigzag(work(i)) & m; i += 1 }
     inverseLorenzo(work, dims, sideFor(dims), w)
-    (work, consumed)
+    consumed
   }
 
   /** Full-stream compression over the true extent: aligned hypercube tiles
     * through the pipeline, the border region verbatim.
     * Layout: a [[repro.core.Frame]] of the tiles, then the border values raw.
+    * Each tile is gathered into, or decoded into, the coding thread's
+    * [[repro.core.Scratch.words]].
     */
   def compress(block: FpBlock, threads: Int): Compressed = {
     val w    = block.precision.bits
@@ -224,14 +235,14 @@ object NdzipCore {
     val vals = block.bits
     val border = (vals.length - g.nTiles * BlockElems) * (w / 8)
     val bytes  = Frame.write(0 until g.nTiles, threads, border)(_ => tileBound(w)) { (t, out, off) =>
-      val buf = new Array[Long](BlockElems)
+      val buf = Scratch.get.words.atLeast(BlockElems)
       moveTile(vals, buf, g, t, gather = true)
       compressTile(buf, g.dims, w, out, off)
     }
     var pos    = bytes.length - border
     borderRuns(g) { (from, until) =>
       var i = from
-      while (i < until) { Words.writeWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
+      while (i < until) { Words.putWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
     }
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
     val ops = block.sizeBytes * 7
@@ -249,14 +260,15 @@ object NdzipCore {
             s"${data.length - offsets(nT)} bytes after the tiles, expected a $border-byte border")
     val vals    = new Array[Long](n)
     Parallel.map(0 until nT, threads) { t =>
-      val (buf, _) = decompressBlock(data, offsets(t), g.dims, w)
+      val buf = Scratch.get.words.atLeast(BlockElems)
+      decompressBlock(data, offsets(t), g.dims, w, buf)
       moveTile(vals, buf, g, t, gather = false)
     }
     var pos = offsets(nT)
     borderRuns(g) { (from, until) =>
       var i = from
       var p = pos
-      while (i < until) { vals(i) = Words.readWordLE(data, p, w / 8); p += w / 8; i += 1 }
+      while (i < until) { vals(i) = Words.wordLE(data, p, w / 8); p += w / 8; i += 1 }
       pos = p
     }
     val ops = n.toLong * precision.bytes * 7

@@ -19,6 +19,9 @@ import repro.core._
   * The stream is coded into the thread's [[repro.core.Scratch.coded]], sized
   * for the worst case: each w-value group writes at most one bitmap word and
   * w data words, and every chunk but the last is a whole number of groups.
+  * ZE stores and loads each bitmap and data word with one 4- or 8-byte
+  * access, and finds word i's bit as bit `i & (w - 1)` of bitmap word
+  * `i >>> log2(w)`.
   */
 final class Mpc extends Codec {
   override def name: String     = "MPC"
@@ -30,6 +33,7 @@ final class Mpc extends Codec {
     val w      = block.precision.bits
     val bytes  = block.precision.bytes
     val m      = Words.mask(w)
+    val lw     = Integer.numberOfTrailingZeros(w)
     val vals   = block.bits
     val out    = Scratch.get.coded.atLeast(Math.toIntExact((w + 1L) * ((vals.length + w - 1) / w) * bytes))
     var pos    = 0
@@ -57,11 +61,11 @@ final class Mpc extends Codec {
       val bitmapWords = (nWords + w - 1) / w
       java.util.Arrays.fill(bitmap, 0, bitmapWords, 0L)
       i = 0
-      while (i < nWords) { if (t(i) != 0) bitmap(i / w) |= 1L << (i % w); i += 1 }
+      while (i < nWords) { if (t(i) != 0) bitmap(i >>> lw) |= 1L << (i & (w - 1)); i += 1 }
       i = 0
-      while (i < bitmapWords) { Words.writeWordLE(out, pos, bitmap(i), bytes); pos += bytes; i += 1 }
+      while (i < bitmapWords) { Words.putWordLE(out, pos, bitmap(i), bytes); pos += bytes; i += 1 }
       i = 0
-      while (i < nWords) { if (t(i) != 0) { Words.writeWordLE(out, pos, t(i), bytes); pos += bytes }; i += 1 }
+      while (i < nWords) { if (t(i) != 0) { Words.putWordLE(out, pos, t(i), bytes); pos += bytes }; i += 1 }
       base += len
     }
     val stream = java.util.Arrays.copyOf(out, pos)
@@ -73,6 +77,7 @@ final class Mpc extends Codec {
   override def decompress(data: Array[Byte], precision: Precision, extent: Seq[Long]): Decompressed = {
     val w      = precision.bits
     val m      = Words.mask(w)
+    val lw     = Integer.numberOfTrailingZeros(w)
     val bytes  = precision.bytes
     val n      = extent.product.toInt
     val vals   = new Array[Long](n)
@@ -87,13 +92,13 @@ final class Mpc extends Codec {
       val nWords = w * groups
       val bitmapWords = (nWords + w - 1) / w
       var i = 0
-      while (i < bitmapWords) { bitmap(i) = Words.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
+      while (i < bitmapWords) { bitmap(i) = Words.wordLE(data, pos, bytes); pos += bytes; i += 1 }
       // ZE and LNV1s inverses in one forward pass
       var prev = 0L
       i = 0
       while (i < nWords) {
-        if (((bitmap(i / w) >>> (i % w)) & 1L) != 0) {
-          prev = (prev + Words.readWordLE(data, pos, bytes)) & m
+        if (((bitmap(i >>> lw) >>> (i & (w - 1))) & 1L) != 0) {
+          prev = (prev + Words.wordLE(data, pos, bytes)) & m
           pos += bytes
         }
         t(i) = prev

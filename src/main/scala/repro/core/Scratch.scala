@@ -45,7 +45,7 @@ final class Scratch private {
   /** LZa6's ring of chain links. */
   val links = new Role[Int](4)
 
-  /** nv:btcomp's zigzag deltas of a chunk. */
+  /** nv:btcomp's zigzag deltas of a chunk, or one ndzip tile (4096 words). */
   val words = new Role[Long](8)
 
   /** LZa6's `head`, Chimp's value index and LZ4's match table, all in one. */

@@ -67,15 +67,20 @@ class TransformSpec extends SparkSpec {
   }
 
   test("ndzip block roundtrip via compress/decompressBlock") {
-    val rng  = new scala.util.Random(9)
-    val tile = FpBlock(Precision.Double, Seq(16L, 16L, 16L), Array.fill(NdzipCore.BlockElems)(rng.nextLong()))
-    val enc  = NdzipCore.compress(tile, 1).bytes
-    val offs = Frame.read(enc, 1, 1)
-    assert(offs(1) == enc.length, "a whole 16x16x16 tile leaves no border")
-    val (out, used) = NdzipCore.decompressBlock(enc, offs(0), 3, 64)
-    assert(used == offs(1) - offs(0))
-    assert(out.sameElements(tile.bits))
-    assert(NdzipCore.decompress(enc, Precision.Double, tile.extent, 1).block.bits.sameElements(tile.bits))
+    val rng = new scala.util.Random(9)
+    // random words keep every transposed word; small ones leave most words zero
+    for (bits <- Seq(Array.fill(NdzipCore.BlockElems)(rng.nextLong()),
+                     Array.fill(NdzipCore.BlockElems)(rng.nextInt(1000).toLong))) {
+      val tile = FpBlock(Precision.Double, Seq(16L, 16L, 16L), bits)
+      val enc  = NdzipCore.compress(tile, 1).bytes
+      val offs = Frame.read(enc, 1, 1)
+      assert(offs(1) == enc.length, "a whole 16x16x16 tile leaves no border")
+      val out  = Array.fill(NdzipCore.BlockElems)(-1L)
+      val used = NdzipCore.decompressBlock(enc, offs(0), 3, 64, out)
+      assert(used == offs(1) - offs(0))
+      assert(out.sameElements(tile.bits))
+      assert(NdzipCore.decompress(enc, Precision.Double, tile.extent, 1).block.bits.sameElements(tile.bits))
+    }
   }
 
   test("ndzip tiles the true extent: aligned 3D cube beats misaligned flat scan") {

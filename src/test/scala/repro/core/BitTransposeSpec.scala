@@ -40,6 +40,23 @@ class BitTransposeSpec extends SparkSpec with PropSupport {
     }, minTests = 200)
   }
 
+  test("property: square(…, 32) transposes the low halves and leaves the high halves as they are") {
+    val gen = for {
+      off   <- Gen.choose(0, 40)
+      extra <- Gen.choose(0, 40)
+      words <- Gen.listOfN(off + 32 + extra, Gen.choose(Long.MinValue, Long.MaxValue))
+    } yield (off, words.toArray)
+    checkProp(Prop.forAllNoShrink(gen) { case (off, a) =>
+      val planes = bitLoopTranspose(a.slice(off, off + 32).map(_ & 0xffffffffL), 32)
+      val orig   = a.clone()
+      BitTranspose.square(a, off, 32)
+      a.indices.forall { i =>
+        if (i < off || i >= off + 32) a(i) == orig(i)
+        else (a(i) & 0xffffffffL) == planes(31 - (i - off)) && (a(i) >>> 32) == (orig(i) >>> 32)
+      }
+    }, minTests = 200)
+  }
+
   test("property: squarePair32 transposes the low and the high halves as two 32-wide squares") {
     val gen = for {
       off   <- Gen.choose(0, 40)

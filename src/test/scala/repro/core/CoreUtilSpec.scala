@@ -51,8 +51,9 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
           (0 until n).forall(i => a(off + i) == (v >>> (8 * i)).toByte)
       }
     })
-    // The fixed-width accessors: the bytes of writeWordLE/readWordLE at their
-    // width, reversed for big-endian, at every offset up to the last whole word.
+    // The fixed-width accessors, and putWordLE/wordLE at widths 4 and 8: the
+    // bytes of writeWordLE/readWordLE at their width, reversed for big-endian,
+    // at every offset up to the last whole word.
     val accessorGen = for {
       acc  <- Gen.oneOf(accessors)
       a    <- Gen.choose(0, 24).flatMap(Gen.listOfN(_, Gen.choose(Byte.MinValue, Byte.MaxValue)).map(_.toArray))
@@ -86,7 +87,16 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     ("longBE", 8, true, Words.longBE(_, _), Some(Words.putLongBE(_, _, _))),
     ("intLE", 4, false, (b, i) => Words.intLE(b, i) & 0xffffffffL, Some((b, i, v) => Words.putIntLE(b, i, v.toInt))),
     ("intBE", 4, true, (b, i) => Words.intBE(b, i) & 0xffffffffL, None),
-    ("shortLE", 2, false, (b, i) => Words.shortLE(b, i).toLong, Some((b, i, v) => Words.putShortLE(b, i, v.toInt))))
+    ("shortLE", 2, false, (b, i) => Words.shortLE(b, i).toLong, Some((b, i, v) => Words.putShortLE(b, i, v.toInt))),
+    ("wordLE(4)", 4, false, Words.wordLE(_, _, 4), Some(Words.putWordLE(_, _, _, 4))),
+    ("wordLE(8)", 8, false, Words.wordLE(_, _, 8), Some(Words.putWordLE(_, _, _, 8))))
+
+  test("Words.putWordLE and wordLE reject widths other than 4 and 8") {
+    for (n <- Seq(1, 2, 3, 5, 7)) {
+      intercept[IllegalArgumentException](Words.putWordLE(new Array[Byte](16), 0, 1L, n))
+      intercept[IllegalArgumentException](Words.wordLE(new Array[Byte](16), 0, n))
+    }
+  }
 
   test("property: Words.unzigzag inverts zigzag, which keeps small residuals small") {
     val gen = for {
