@@ -133,7 +133,7 @@ object BitshuffleBase {
       e += Group
     }
     var i = mm
-    while (i < m) { Words.putWordLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
+    while (i < m) { Words.writeWordLE(out, o + i * elemSize, bits(v0 + i), elemSize); i += 1 }
   }
 
   /** The inverse of [[shuffleChunk]]. */
@@ -164,7 +164,7 @@ object BitshuffleBase {
       e += Group
     }
     var i = mm
-    while (i < m) { bits(v0 + i) = Words.wordLE(in, o + i * elemSize, elemSize); i += 1 }
+    while (i < m) { bits(v0 + i) = Words.readWordLE(in, o + i * elemSize, elemSize); i += 1 }
   }
 }
 

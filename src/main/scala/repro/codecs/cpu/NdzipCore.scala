@@ -164,9 +164,9 @@ object NdzipCore {
       var head = 0L
       var i = 0
       while (i < w) { if (work(base + i) != 0) head |= 1L << i; i += 1 }
-      Words.putWordLE(out, pos, head, bytes); pos += bytes
+      Words.writeWordLE(out, pos, head, bytes); pos += bytes
       i = 0
-      while (i < w) { if (work(base + i) != 0) { Words.putWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
+      while (i < w) { if (work(base + i) != 0) { Words.writeWordLE(out, pos, work(base + i), bytes); pos += bytes }; i += 1 }
       base += w
     }
     pos - off
@@ -184,10 +184,10 @@ object NdzipCore {
     var pos   = off
     var base  = 0
     while (base < BlockElems) {
-      val head = Words.wordLE(data, pos, bytes); pos += bytes
+      val head = Words.readWordLE(data, pos, bytes); pos += bytes
       var i = 0
       while (i < w) {
-        if (((head >>> i) & 1L) != 0) { work(base + i) = Words.wordLE(data, pos, bytes); pos += bytes }
+        if (((head >>> i) & 1L) != 0) { work(base + i) = Words.readWordLE(data, pos, bytes); pos += bytes }
         else work(base + i) = 0L
         i += 1
       }
@@ -242,7 +242,7 @@ object NdzipCore {
     var pos    = bytes.length - border
     borderRuns(g) { (from, until) =>
       var i = from
-      while (i < until) { Words.putWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
+      while (i < until) { Words.writeWordLE(bytes, pos, vals(i), w / 8); pos += w / 8; i += 1 }
     }
     // calibrated vs the SC'21 implementation's instruction mix (DESIGN.md #2)
     val ops = block.sizeBytes * 7
@@ -268,7 +268,7 @@ object NdzipCore {
     borderRuns(g) { (from, until) =>
       var i = from
       var p = pos
-      while (i < until) { vals(i) = Words.wordLE(data, p, w / 8); p += w / 8; i += 1 }
+      while (i < until) { vals(i) = Words.readWordLE(data, p, w / 8); p += w / 8; i += 1 }
       pos = p
     }
     val ops = n.toLong * precision.bytes * 7

@@ -63,9 +63,9 @@ final class Mpc extends Codec {
       i = 0
       while (i < nWords) { if (t(i) != 0) bitmap(i >>> lw) |= 1L << (i & (w - 1)); i += 1 }
       i = 0
-      while (i < bitmapWords) { Words.putWordLE(out, pos, bitmap(i), bytes); pos += bytes; i += 1 }
+      while (i < bitmapWords) { Words.writeWordLE(out, pos, bitmap(i), bytes); pos += bytes; i += 1 }
       i = 0
-      while (i < nWords) { if (t(i) != 0) { Words.putWordLE(out, pos, t(i), bytes); pos += bytes }; i += 1 }
+      while (i < nWords) { if (t(i) != 0) { Words.writeWordLE(out, pos, t(i), bytes); pos += bytes }; i += 1 }
       base += len
     }
     val stream = java.util.Arrays.copyOf(out, pos)
@@ -92,13 +92,13 @@ final class Mpc extends Codec {
       val nWords = w * groups
       val bitmapWords = (nWords + w - 1) / w
       var i = 0
-      while (i < bitmapWords) { bitmap(i) = Words.wordLE(data, pos, bytes); pos += bytes; i += 1 }
+      while (i < bitmapWords) { bitmap(i) = Words.readWordLE(data, pos, bytes); pos += bytes; i += 1 }
       // ZE and LNV1s inverses in one forward pass
       var prev = 0L
       i = 0
       while (i < nWords) {
         if (((bitmap(i >>> lw) >>> (i & (w - 1))) & 1L) != 0) {
-          prev = (prev + Words.wordLE(data, pos, bytes)) & m
+          prev = (prev + Words.readWordLE(data, pos, bytes)) & m
           pos += bytes
         }
         t(i) = prev

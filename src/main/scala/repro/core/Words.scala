@@ -15,9 +15,9 @@ import java.nio.ByteOrder
   * [[putLongBE]], [[intLE]], [[putIntLE]], [[intBE]], [[shortLE]],
   * [[putShortLE]]) load or store one word at a byte offset through an array
   * view, and throw `ArrayIndexOutOfBoundsException` for a word that does not
-  * fit, as a byte loop would. [[putWordLE]] and [[wordLE]] pick one of the
-  * 4- or 8-byte little-endian accessors by a width a codec picks at run
-  * time; [[writeWordLE]] and [[readWordLE]] serve any width from 1 to 8.
+  * fit, as a byte loop would. [[writeWordLE]] and [[readWordLE]] serve any
+  * width from 1 to 8 that a codec picks at run time, through the 4- or
+  * 8-byte accessor at those widths and a byte loop at the others.
   */
 object Words {
   private val ShortLE = MethodHandles.byteArrayViewVarHandle(classOf[Array[Short]], ByteOrder.LITTLE_ENDIAN)
@@ -44,22 +44,6 @@ object Words {
   /** The 2 bytes at `b(i)`, least significant first, as an unsigned value. */
   def shortLE(b: Array[Byte], i: Int): Int = (ShortLE.get(b, i): Short) & 0xffff
   def putShortLE(b: Array[Byte], i: Int, v: Int): Unit = ShortLE.set(b, i, v.toShort)
-
-  /** The low `nBytes` bytes of `v` at `b(i)`, least significant first, in
-    * one store: the bytes [[writeWordLE]] writes, for `nBytes` 4 or 8.
-    */
-  def putWordLE(b: Array[Byte], i: Int, v: Long, nBytes: Int): Unit =
-    if (nBytes == 8) putLongLE(b, i, v)
-    else if (nBytes == 4) putIntLE(b, i, v.toInt)
-    else throw new IllegalArgumentException(s"whole-word width must be 4 or 8: $nBytes")
-
-  /** The `nBytes` bytes at `b(i)`, least significant first, in one load, as
-    * an unsigned value: what [[readWordLE]] reads, for `nBytes` 4 or 8.
-    */
-  def wordLE(b: Array[Byte], i: Int, nBytes: Int): Long =
-    if (nBytes == 8) longLE(b, i)
-    else if (nBytes == 4) intLE(b, i) & 0xffffffffL
-    else throw new IllegalArgumentException(s"whole-word width must be 4 or 8: $nBytes")
 
   def pack(block: FpBlock): Array[Long] = block.precision match {
     case Precision.Double => block.bits
@@ -105,16 +89,22 @@ object Words {
   def unzigzag(z: Long): Long = (z >>> 1) ^ -(z & 1)
 
   /** The low `nBytes` bytes of `v` at `data(off)`, least significant first. */
-  def writeWordLE(data: Array[Byte], off: Int, v: Long, nBytes: Int): Unit = {
-    var i = 0
-    while (i < nBytes) { data(off + i) = (v >>> (8 * i)).toByte; i += 1 }
-  }
+  def writeWordLE(data: Array[Byte], off: Int, v: Long, nBytes: Int): Unit =
+    if (nBytes == 8) putLongLE(data, off, v)
+    else if (nBytes == 4) putIntLE(data, off, v.toInt)
+    else {
+      var i = 0
+      while (i < nBytes) { data(off + i) = (v >>> (8 * i)).toByte; i += 1 }
+    }
 
-  /** Reads back a word written by [[writeWordLE]]. */
-  def readWordLE(data: Array[Byte], off: Int, nBytes: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < nBytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
-    v
-  }
+  /** Reads back a word written by [[writeWordLE]], as an unsigned value. */
+  def readWordLE(data: Array[Byte], off: Int, nBytes: Int): Long =
+    if (nBytes == 8) longLE(data, off)
+    else if (nBytes == 4) intLE(data, off) & 0xffffffffL
+    else {
+      var v = 0L
+      var i = 0
+      while (i < nBytes) { v |= (data(off + i) & 0xffL) << (8 * i); i += 1 }
+      v
+    }
 }

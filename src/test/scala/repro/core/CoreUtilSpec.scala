@@ -46,14 +46,17 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
       val a    = new Array[Byte](words.map(_._2).sum)
       val offs = words.map(_._2).scanLeft(0)(_ + _)
       words.zip(offs).foreach { case ((v, n), off) => Words.writeWordLE(a, off, v, n) }
+      def throws(f: => Unit) =
+        try { f; false } catch { case _: ArrayIndexOutOfBoundsException => true }
       words.zip(offs).forall { case ((v, n), off) =>
         Words.readWordLE(a, off, n) == (v & Words.mask(8 * n)) &&
           (0 until n).forall(i => a(off + i) == (v >>> (8 * i)).toByte)
+      } && (1 to 8).forall { n => // a word past the array's last whole word
+        throws(Words.readWordLE(a, a.length - n + 1, n)) && throws(Words.writeWordLE(a.clone, a.length - n + 1, 0L, n))
       }
     })
-    // The fixed-width accessors, and putWordLE/wordLE at widths 4 and 8: the
-    // bytes of writeWordLE/readWordLE at their width, reversed for big-endian,
-    // at every offset up to the last whole word.
+    // The fixed-width accessors: the bytes of writeWordLE/readWordLE at their
+    // width, reversed for big-endian, at every offset up to the last whole word.
     val accessorGen = for {
       acc  <- Gen.oneOf(accessors)
       a    <- Gen.choose(0, 24).flatMap(Gen.listOfN(_, Gen.choose(Byte.MinValue, Byte.MaxValue)).map(_.toArray))
@@ -87,16 +90,7 @@ class CoreUtilSpec extends SparkSpec with PropSupport {
     ("longBE", 8, true, Words.longBE(_, _), Some(Words.putLongBE(_, _, _))),
     ("intLE", 4, false, (b, i) => Words.intLE(b, i) & 0xffffffffL, Some((b, i, v) => Words.putIntLE(b, i, v.toInt))),
     ("intBE", 4, true, (b, i) => Words.intBE(b, i) & 0xffffffffL, None),
-    ("shortLE", 2, false, (b, i) => Words.shortLE(b, i).toLong, Some((b, i, v) => Words.putShortLE(b, i, v.toInt))),
-    ("wordLE(4)", 4, false, Words.wordLE(_, _, 4), Some(Words.putWordLE(_, _, _, 4))),
-    ("wordLE(8)", 8, false, Words.wordLE(_, _, 8), Some(Words.putWordLE(_, _, _, 8))))
-
-  test("Words.putWordLE and wordLE reject widths other than 4 and 8") {
-    for (n <- Seq(1, 2, 3, 5, 7)) {
-      intercept[IllegalArgumentException](Words.putWordLE(new Array[Byte](16), 0, 1L, n))
-      intercept[IllegalArgumentException](Words.wordLE(new Array[Byte](16), 0, n))
-    }
-  }
+    ("shortLE", 2, false, (b, i) => Words.shortLE(b, i).toLong, Some((b, i, v) => Words.putShortLE(b, i, v.toInt))))
 
   test("property: Words.unzigzag inverts zigzag, which keeps small residuals small") {
     val gen = for {

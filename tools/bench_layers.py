@@ -81,15 +81,20 @@ def split(classpath, checkout):
     return own, [e for e in entries if e not in own]
 
 
+def exit_on_failure(proc, what):
+    """Exit with the tail of a failed JVM's output."""
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout[-4000:] + proc.stderr[-4000:])
+        sys.exit(f"bench_layers: {what} failed")
+
+
 def launch(java_cp, corpus, args, builds):
     """One runner JVM; returns its timings and stream checks."""
     cmd = ["java", *JVM_OPTS, "-cp", java_cp, "repro.layers.LayerBench", "run", corpus,
            str(ROUNDS), str(WARMUP), args.codecs or "-"]
     cmd += [f"{name}={path}" for name, path in builds]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=LAUNCH_TIMEOUT_S)
-    if proc.returncode != 0:
-        sys.stderr.write(proc.stdout[-4000:] + proc.stderr[-4000:])
-        sys.exit("bench_layers: runner failed")
+    exit_on_failure(proc, "runner")
     times = collections.defaultdict(list)  # (workload, codec, build) -> [(comp ns, decomp ns)]
     streams = {}
     for line in proc.stdout.splitlines():
@@ -142,10 +147,12 @@ def main():
     runner = compile_runner(root, os.path.join(env["SPARK_HOME"], "jars"), os.path.join(work, "classes"))
 
     corpus = os.path.join(work, "corpus.bin")
-    subprocess.run(["java", "-Xms2g", "-Xmx2g", f"-Djava.io.tmpdir={os.path.join(root, '.bench_build', 'tmp')}",
-                    "-cp", os.pathsep.join([runner, *own, *jars]), "repro.layers.LayerBench", "dump",
-                    corpus, os.path.join(work, "run"), *WORKLOADS],
-                   check=True, capture_output=True, env=dict(env, SPARK_LOCAL_DIRS=os.path.join(work, "spark-local")))
+    proc = subprocess.run(["java", "-Xms2g", "-Xmx2g", f"-Djava.io.tmpdir={os.path.join(root, '.bench_build', 'tmp')}",
+                           "-cp", os.pathsep.join([runner, *own, *jars]), "repro.layers.LayerBench", "dump",
+                           corpus, os.path.join(work, "run"), *WORKLOADS],
+                          capture_output=True, text=True,
+                          env=dict(env, SPARK_LOCAL_DIRS=os.path.join(work, "spark-local")))
+    exit_on_failure(proc, "corpus dump")
 
     # the base's classes twice: the A/A copy is a second loader over the same files
     base_classes = os.pathsep.join(built["base"][0])
