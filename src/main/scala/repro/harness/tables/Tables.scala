@@ -53,11 +53,11 @@ object Render {
   }
 }
 
-/** Benchmark scale knobs, overridable via env for quick local runs. */
+/** Benchmark scale; the `bench/` shape checks are written for these values. */
 object BenchConfig {
   /** values per dataset in the main grid (~0.5-1 MB per dataset). */
-  def targetValues: Int = sys.env.get("FC_TARGET_VALUES").map(_.toInt).getOrElse(1 << 17)
-  def iters: Int        = sys.env.get("FC_ITERS").map(_.toInt).getOrElse(2)
-  /** values in the scalability block (8 MB of doubles by default). */
-  def scaleValues: Int  = sys.env.get("FC_SCALE_VALUES").map(_.toInt).getOrElse(1 << 20)
+  val targetValues: Int = 1 << 17
+  val iters: Int        = 2
+  /** values in the scalability block (8 MB of doubles). */
+  val scaleValues: Int  = 1 << 20
 }

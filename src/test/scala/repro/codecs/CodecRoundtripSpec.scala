@@ -1,22 +1,29 @@
 package repro.codecs
 
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+
+import repro.{PropSupport, SparkSpec}
 import repro.core.CodecRegistry
 
-/** Bit-exact roundtrip of every registered codec over the full input corpus:
-  * 14 codecs x 13 structurally distinct blocks. Losslessness is the one
-  * property FCBench takes as a precondition for every method.
+/** Bit-exact roundtrip of every registered codec: 14 codecs x 13
+  * structurally distinct blocks, then one property over [[CodecGen]]'s
+  * blocks with threaded codecs at a drawn thread count. Losslessness is the
+  * one property FCBench takes as a precondition for every method.
   */
-class CodecRoundtripSpec extends SparkSpec {
+class CodecRoundtripSpec extends SparkSpec with PropSupport {
   for (codec <- CodecRegistry.all; (inputName, block) <- TestInputs.corpus) {
     test(s"${codec.name} roundtrips $inputName bit-exactly") {
-      val comp = codec.compress(block)
-      val dec  = codec.decompress(comp.bytes, block.precision, block.extent)
-      assert(dec.block.precision == block.precision)
-      assert(dec.block.extent == block.extent)
-      assert(dec.block.bits.sameElements(block.bits),
-             s"first mismatch at index ${dec.block.bits.zip(block.bits).indexWhere(p => p._1 != p._2)}")
+      CodecGen.roundTrip(codec, block).foreach(fail(_))
     }
+  }
+
+  test("property: all 14 codecs roundtrip drawn blocks bit-exactly, threaded ones at 1-4 threads") {
+    for (codec <- CodecRegistry.all; d <- CodecGen.tileExamples ++ CodecGen.chunkEdgeExamples)
+      CodecGen.roundTrip(codec, d.block).foreach(f => fail(s"$d: $f"))
+    checkProp(Prop.forAllNoShrink(Gen.oneOf(CodecRegistry.all), CodecGen.drawn, Gen.choose(1, 4)) { (codec, d, t) =>
+      val failure = CodecGen.roundTrip(CodecGen.atThreads(codec, t), d.block)
+      Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
+    }, minTests = 700)
   }
 
   for (codec <- CodecRegistry.all) {

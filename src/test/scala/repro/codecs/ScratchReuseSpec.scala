@@ -5,7 +5,7 @@ import scala.collection.mutable.ArrayBuffer
 import org.scalacheck.{Gen, Prop}
 
 import repro.{PropSupport, SparkSpec}
-import repro.core.{Codec, CodecRegistry, FpBlock, ThreadedCodec}
+import repro.core.{Codec, CodecRegistry, FpBlock}
 
 /** Codecs keep writers, output buffers, scratch arrays and tables per
   * thread across calls, in one `core.Scratch` per thread whose arrays are
@@ -27,23 +27,9 @@ class ScratchReuseSpec extends SparkSpec with PropSupport {
 
   private val sequence: Seq[FpBlock] = Seq(pageD, large, pageS, single, pageD, pageS, large, single, pageS)
 
-  /** `f` on a new thread, whose scratch starts empty. */
-  private def onFreshThread[A](f: => A): A = {
-    var out: Either[Throwable, A] = null
-    val t = new Thread(() => out = try Right(f) catch { case e: Throwable => Left(e) })
-    t.start()
-    t.join()
-    out.fold(throw _, identity)
-  }
-
-  private def oneThread(codec: Codec): Codec = codec match {
-    case t: ThreadedCodec => t.withThreads(1)
-    case c                => c
-  }
-
   for (registered <- CodecRegistry.all)
     test(s"${registered.name}: interleaved calls on one thread write the fresh-thread streams and keep every result") {
-      val codec    = oneThread(registered)
+      val codec    = CodecGen.atThreads(registered, 1)
       val expected = sequence.distinct.map(b => b -> onFreshThread(codec.compress(b).bytes)).toMap
       val streams  = ArrayBuffer.empty[(FpBlock, Array[Byte], Array[Byte])] // block, stream, its copy
       val decoded  = ArrayBuffer.empty[(FpBlock, Array[Long])]
@@ -68,7 +54,7 @@ class ScratchReuseSpec extends SparkSpec with PropSupport {
     }
 
   /** The codecs at one thread, so that every call runs on the test's thread. */
-  private val codecs: IndexedSeq[Codec] = CodecRegistry.all.map(oneThread).toIndexedSeq
+  private val codecs: IndexedSeq[Codec] = CodecRegistry.all.map(CodecGen.atThreads(_, 1)).toIndexedSeq
 
   /** One value, a single and a double 4 KiB page, a double and a single
     * 64 KiB block and a 256 KiB block: under, at and over the cap.

@@ -1,11 +1,13 @@
 package repro.codecs.cpu
 
 import com.github.luben.zstd.Zstd
-import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop
 
 import repro.{PropSupport, SparkSpec}
+import repro.codecs.CodecGen
+import repro.codecs.StreamOracleSpec.bitshuffle
 import repro.codecs.gpu.NvLz4
-import repro.core.{Codec, Compressed, FpBlock, Frame, FrameOf, Precision, WorkProfile}
+import repro.core.{Codec, FpBlock, Frame, FrameOf, Precision}
 import repro.lz.{Lz4Backend, ZstdBackend}
 import repro.lz.Lz4BackendSpec.encoded
 
@@ -14,64 +16,42 @@ import repro.lz.Lz4BackendSpec.encoded
   * fails.
   */
 class BitshuffleSpec extends SparkSpec with PropSupport {
-  import BitshuffleSpec._
+  /** `n` values of CodecGen's slow walk, whose bit planes repeat. */
+  private def walk(precision: Precision, n: Int): FpBlock = CodecGen.Drawn(precision, Seq(n.toLong), "walk", 0, 0).block
+
+  /** Why the word-path transpose of `bits` differs from the byte path's, or None. */
+  private def transposeFailure(precision: Precision, bits: Array[Long]): Option[String] = {
+    val elemSize = precision.bytes
+    // FpBlock holds at least one value; the transpose also takes none.
+    val raw    = if (bits.isEmpty) Array.emptyByteArray else FpBlock(precision, Seq(bits.length.toLong), bits).toBytes
+    val ranges = Frame.fixedRanges(raw.length, BitshuffleBase.BlockBytes)
+    ranges.collectFirst(Function.unlift { case (from, until) =>
+      val oracle = BytePathBitshuffle.shuffle(raw, from, until, elemSize)
+      val got    = new Array[Byte](until - from)
+      BitshuffleBase.shuffle(bits, from / elemSize, got, got.length, elemSize)
+      val back = new Array[Long](bits.length)
+      BitshuffleBase.unshuffle(oracle, oracle.length, back, from / elemSize, elemSize)
+      if (!java.util.Arrays.equals(got, oracle)) Some(s"shuffle of bytes $from until $until differs")
+      else if (!java.util.Arrays.equals(back, from / elemSize, until / elemSize, bits, from / elemSize, until / elemSize))
+        Some(s"unshuffle of bytes $from until $until differs")
+      else None
+    })
+  }
 
   test("property: the transpose equals the byte-path shuffle for 0-70 000 values of either precision") {
-    checkProp(Prop.forAllNoShrink(inputs) { case (precision, n, walk, seed) =>
-      val bits     = values(precision, n, walk, seed)
-      val elemSize = precision.bytes
-      // FpBlock holds at least one value; the transpose also takes none.
-      val raw      = if (n == 0) Array.emptyByteArray else FpBlock(precision, Seq(n.toLong), bits).toBytes
-      val ranges   = Frame.fixedRanges(raw.length, BitshuffleBase.BlockBytes)
-      val failure = ranges.collectFirst(Function.unlift { case (from, until) =>
-        val oracle = BytePathBitshuffle.shuffle(raw, from, until, elemSize)
-        val got    = new Array[Byte](until - from)
-        BitshuffleBase.shuffle(bits, from / elemSize, got, got.length, elemSize)
-        val back = new Array[Long](n)
-        BitshuffleBase.unshuffle(oracle, oracle.length, back, from / elemSize, elemSize)
-        if (!java.util.Arrays.equals(got, oracle)) Some(s"shuffle of bytes $from until $until differs")
-        else if (!java.util.Arrays.equals(back, from / elemSize, until / elemSize, bits, from / elemSize, until / elemSize))
-          Some(s"unshuffle of bytes $from until $until differs")
-        else None
-      })
-      Prop.propBoolean(failure.isEmpty) :| s"$precision n=$n walk=$walk seed=$seed: ${failure.getOrElse("")}"
+    for (precision <- Seq(Precision.Single, Precision.Double))
+      transposeFailure(precision, Array.emptyLongArray).foreach(fail(_))
+    checkProp(Prop.forAllNoShrink(CodecGen.drawn) { d =>
+      val failure = transposeFailure(d.precision, d.block.bits)
+      Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
     }, minTests = 200)
   }
 
-  for (threads <- Seq(1, 4))
-    test(s"property: shf+LZ4, shf+zstd and nv:LZ4 streams equal the byte path's with threads = $threads") {
-      val codecs: Seq[(Codec, FpBlock => Compressed)] = Seq(
-        new BitshuffleLz4(threads)  -> (BytePathBitshuffle.compress(BytePathBitshuffle.Lz4, _)),
-        new BitshuffleZstd(threads) -> (BytePathBitshuffle.compress(BytePathBitshuffle.Zstd, _)),
-        new NvLz4                   -> copiedPartsLz4)
-      checkProp(Prop.forAllNoShrink(inputs.suchThat(_._2 > 0)) { case (precision, n, walk, seed) =>
-        val b = block(precision, n, walk, seed)
-        val failure = codecs.collectFirst(Function.unlift { case (codec, oracle) =>
-          val comp   = codec.compress(b)
-          val want   = oracle(b)
-          val back   = codec.decompress(want.bytes, precision, b.extent)
-          if (!java.util.Arrays.equals(comp.bytes, want.bytes) || comp.work != want.work)
-            Some(s"${codec.name} encode differs")
-          else if (!java.util.Arrays.equals(back.block.bits, b.bits) || back.block.extent != b.extent)
-            Some(s"${codec.name} decode is lossy")
-          else None
-        })
-        Prop.propBoolean(failure.isEmpty) :| s"$precision n=$n walk=$walk seed=$seed: ${failure.getOrElse("")}"
-      }, minTests = 100)
-    }
-
   test("the byte path decodes to the same values and work as the word path") {
-    for ((precision, n) <- Seq(Precision.Double -> 20001, Precision.Single -> 40003, Precision.Double -> 7)) {
-      val b = block(precision, n, walk = true, seed = n.toLong)
-      for ((codec, backend) <- Seq(new BitshuffleLz4(4) -> BytePathBitshuffle.Lz4,
-                                   new BitshuffleZstd(4) -> BytePathBitshuffle.Zstd)) {
-        val bytes = codec.compress(b).bytes
-        val got   = codec.decompress(bytes, precision, b.extent)
-        val want  = BytePathBitshuffle.decompress(backend, bytes, precision, b.extent)
-        assert(java.util.Arrays.equals(got.block.bits, want.block.bits) && got.work == want.work,
-               s"${codec.name} $precision n=$n")
-      }
-    }
+    for ((precision, n) <- Seq(Precision.Double -> 20001, Precision.Single -> 40003, Precision.Double -> 7);
+         pair <- Seq(bitshuffle(new BitshuffleLz4(4), BytePathBitshuffle.Lz4),
+                     bitshuffle(new BitshuffleZstd(4), BytePathBitshuffle.Zstd)))
+      pair.failure(walk(precision, n)).foreach(f => fail(s"$pair $precision n=$n: $f"))
   }
 
   test("the back ends code a range of an array and decode into an offset, leaving the rest as it was") {
@@ -134,7 +114,7 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
 
   for (codec <- Seq[Codec](new BitshuffleLz4(1), new BitshuffleZstd(1), new NvLz4))
     test(s"${codec.name} raises on a part cut by one byte, whether or not the next part follows it") {
-      val b     = block(Precision.Double, 20000, walk = true, seed = 13)
+      val b     = walk(Precision.Double, 20000)
       val data  = codec.compress(b).bytes
       val offs  = Frame.read(data, 3, 3)
       val parts = (0 until 3).map(i => java.util.Arrays.copyOfRange(data, offs(i), offs(i + 1)))
@@ -148,49 +128,4 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
       shifted.putInt(4, offs(1) - offs(0) - 1).putInt(8, offs(2) - offs(1) + 1)
       intercept[IllegalArgumentException](codec.decompress(shifted.array, b.precision, b.extent))
     }
-}
-
-object BitshuffleSpec {
-  /** `n` values of `precision` from `seed`: random bit patterns, or a slow
-    * walk whose bit planes repeat, so the LZ stage finds matches.
-    */
-  def values(precision: Precision, n: Int, walk: Boolean, seed: Long): Array[Long] = {
-    val rng  = new scala.util.Random(seed)
-    val mask = if (precision == Precision.Single) 0xffffffffL else -1L
-    if (walk) Array.tabulate(n)(i => FpBlock.singleBits((i / 7).toFloat) << (precision.bits - 32))
-    else Array.fill(n)(rng.nextLong() & mask)
-  }
-
-  def block(precision: Precision, n: Int, walk: Boolean, seed: Long): FpBlock =
-    FpBlock(precision, Seq(n.toLong), values(precision, n, walk, seed))
-
-  /** Value counts around every boundary the transpose has: groups of 8, 32
-    * and 64 values, 4096-byte chunks (512 doubles, 1024 singles) and 64 KiB
-    * parts (8192 doubles, 16 384 singles), up to 70 000.
-    */
-  val counts: Gen[Int] = Gen.frequency(
-    2 -> Gen.choose(0, 9),
-    3 -> Gen.choose(10, 1100),
-    3 -> Gen.zip(Gen.choose(1, 17), Gen.choose(-9, 9)).map { case (k, d) => math.max(0, k * 512 + d) },
-    2 -> Gen.zip(Gen.choose(1, 4), Gen.choose(-70, 70)).map { case (k, d) => k * 8192 + d },
-    1 -> Gen.choose(0, 70000))
-
-  val inputs: Gen[(Precision, Int, Boolean, Long)] = for {
-    precision <- Gen.oneOf(Precision.Single, Precision.Double)
-    n         <- counts
-    walk      <- Gen.oneOf(true, false)
-    seed      <- Gen.choose(Long.MinValue, Long.MaxValue)
-  } yield (precision, n, walk, seed)
-
-  /** nv:LZ4 as it was: every 64 KiB range of the raw bytes copied, then
-    * coded by the library's fast compressor.
-    */
-  def copiedPartsLz4(b: FpBlock): Compressed = {
-    val raw = b.toBytes
-    val parts = Frame.fixedRanges(raw.length, 65536).map { case (from, until) =>
-      BytePathBitshuffle.encode(BytePathBitshuffle.Lz4, java.util.Arrays.copyOfRange(raw, from, until))
-    }
-    val bytes = FrameOf(parts)
-    Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length, raw.length.toLong * 12, divergent = true))
-  }
 }

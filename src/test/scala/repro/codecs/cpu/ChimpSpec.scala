@@ -19,13 +19,7 @@ class ChimpSpec extends SparkSpec with PropSupport {
       FpBlock(big.precision, Seq(n.toLong), big.bits.take(n))
     }
     val codec = new Chimp
-    val fresh = calls.map { b =>
-      var out: Array[Byte] = null
-      val t = new Thread(() => out = codec.compress(b).bytes)
-      t.start()
-      t.join()
-      out
-    }
+    val fresh = calls.map(b => onFreshThread(codec.compress(b).bytes))
     for (((b, expected), k) <- calls.zip(fresh).zipWithIndex) {
       val bytes = codec.compress(b).bytes
       assert(java.util.Arrays.equals(bytes, expected), s"call $k: ${b.n} values")

@@ -1,8 +1,9 @@
 package repro.codecs.cpu
 
 import repro.{PropSupport, SparkSpec}
+import repro.codecs.CodecGen
 import repro.codecs.gpu.NdzipGpu
-import repro.core.{FpBlock, Precision, Words}
+import repro.core.Words
 import org.scalacheck.{Gen, Prop}
 
 /** ndzip's span-block Lorenzo loops and border runs against the
@@ -48,18 +49,8 @@ class NdzipSpec extends SparkSpec with PropSupport {
     }, minTests = 150)
   }
 
-  for (extent <- Seq(Seq(5000L), Seq(4097L), Seq(100L), Seq(65L, 200L), Seq(17L, 33L, 20L),
-                     Seq(3L, 40L, 40L), Seq(2L, 2L, 2L, 2L));
-       precision <- Seq(Precision.Single, Precision.Double))
-    test(s"ndzip-C and ndzip-G roundtrip extent ${extent.mkString("x")} (${precision.tag})") {
-      val rng  = new scala.util.Random(extent.product)
-      val mask = if (precision == Precision.Single) 0xffffffffL else -1L
-      val walk = Array.tabulate(extent.product.toInt)(i => (rng.nextLong() & 0xff) + i.toLong * 977)
-      val block = FpBlock(precision, extent, walk.map(_ & mask))
-      for (codec <- Seq(new NdzipCpu(2), new NdzipGpu)) {
-        val bytes = codec.compress(block).bytes
-        val back  = codec.decompress(bytes, precision, extent).block
-        assert(java.util.Arrays.equals(back.bits, block.bits), s"${codec.name} $extent")
-      }
+  for (d <- CodecGen.tileExamples)
+    test(s"ndzip-C and ndzip-G roundtrip extent ${d.extent.mkString("x")} (${d.precision.tag})") {
+      for (codec <- Seq(new NdzipCpu(2), new NdzipGpu)) CodecGen.roundTrip(codec, d.block).foreach(fail(_))
     }
 }

@@ -1,8 +1,9 @@
 package repro.codecs.gpu
 
 import repro.{PropSupport, SparkSpec}
-import repro.core.{FpBlock, Precision}
-import org.scalacheck.{Gen, Prop}
+import repro.codecs.CodecGen
+import repro.codecs.CodecGen.Drawn
+import org.scalacheck.Prop
 
 /** MPC codes its stream into one array sized for the worst case,
   * `(w + 1) · ⌈n / w⌉ · bytes`. Random bit patterns with every word
@@ -13,42 +14,21 @@ import org.scalacheck.{Gen, Prop}
 class MpcSpec extends SparkSpec with PropSupport {
   private val mpc = new Mpc
 
-  private def bound(n: Int, p: Precision): Long = (p.bits + 1L) * ((n + p.bits - 1) / p.bits) * p.bytes
-
-  /** Whether `n` random non-zero `p` patterns from `seed` code within the
-    * bound and decode bit-exactly.
-    */
-  private def holds(n: Int, p: Precision, seed: Long): Boolean = {
-    val rng  = new scala.util.Random(seed)
-    val bits = Array.fill(n) {
-      var v = 0L
-      while (v == 0) v = if (p == Precision.Double) rng.nextLong() else rng.nextInt() & 0xffffffffL
-      v
-    }
-    val block  = FpBlock(p, Seq(n.toLong), bits)
-    val stream = mpc.compress(block).bytes
-    stream.length <= bound(n, p) &&
-      mpc.decompress(stream, p, block.extent).block.bits.sameElements(bits)
-  }
-
-  private def onNewThread(f: => Unit): Unit = {
-    var failure: Option[Throwable] = None
-    val t = new Thread(() => try f catch { case e: Throwable => failure = Some(e) })
-    t.start()
-    t.join()
-    failure.foreach(throw _)
+  /** Why `d`'s stream passes the bound or does not decode bit-exactly, or None. */
+  private def failure(d: Drawn): Option[String] = {
+    val (n, p) = (d.block.n, d.precision)
+    val bound  = (p.bits + 1L) * ((n + p.bits - 1) / p.bits) * p.bytes
+    val length = mpc.compress(d.block).bytes.length
+    if (length > bound) Some(s"$length bytes > $bound") else CodecGen.roundTrip(mpc, d.block)
   }
 
   test("property: an all-non-zero stream fits (w + 1) · ⌈n / w⌉ words and decodes bit-exactly") {
-    onNewThread {
-      for (p <- Seq(Precision.Double, Precision.Single); n <- Seq(1, 31, 32, 33, 1023, 1024, 1025, 4097))
-        assert(holds(n, p, n.toLong), s"$p n=$n")
-      val gen = for {
-        p    <- Gen.oneOf(Precision.Double, Precision.Single)
-        n    <- Gen.choose(1, 5000)
-        seed <- Gen.choose(Long.MinValue, Long.MaxValue)
-      } yield (p, n, seed)
-      checkProp(Prop.forAll(gen) { case (p, n, seed) => holds(n, p, seed) }, minTests = 100)
+    onFreshThread {
+      for (d <- CodecGen.chunkEdgeExamples) failure(d).foreach(f => fail(s"$d: $f"))
+      checkProp(Prop.forAllNoShrink(CodecGen.drawn.map(_.copy(process = "non-zero", specials = 0))) { d =>
+        val f = failure(d)
+        Prop.propBoolean(f.isEmpty) :| f.getOrElse("")
+      }, minTests = 100)
     }
   }
 }
