@@ -1,29 +1,18 @@
 package repro.codecs
 
-import org.scalacheck.{Gen, Prop}
+import org.scalacheck.Prop
 
-import repro.{PropSupport, SparkSpec}
 import repro.codecs.cpu.{BitshuffleBase, BitshuffleLz4, BitshuffleZstd, BytePathBitshuffle, BytewisePfpc, Pfpc, Spdp}
 import repro.codecs.gpu.NvLz4
 import repro.core.{Codec, Compressed, Decompressed, FpBlock, Frame, FrameOf, Precision, WorkProfile}
 
-/** Every codec with a former implementation kept as its oracle writes the
-  * oracle's stream, and its `WorkProfile` where the oracle reports one, for
-  * [[CodecGen]]'s blocks; it decodes the oracle's stream bit-exactly, and
-  * where the oracle also decodes, to the oracle's values and work.
+/** The registry of codecs with a former implementation kept as their
+  * oracle, and the one property they are held to: for [[CodecGen]]'s blocks
+  * each writes the oracle's stream, and its `WorkProfile` where the oracle
+  * reports one; it decodes the oracle's stream bit-exactly, and where the
+  * oracle also decodes, to the oracle's values and work.
   */
-class StreamOracleSpec extends SparkSpec with PropSupport {
-  import StreamOracleSpec._
-
-  test("property: pFPC, SPDP, shf+LZ4, shf+zstd and nv:LZ4 write and decode their oracles' streams") {
-    checkProp(Prop.forAllNoShrink(Gen.oneOf(Pairs), CodecGen.drawn) { (pair, d) =>
-      val failure = pair.failure(d.block)
-      Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
-    }, minTests = 150 * Pairs.length) // 150 per pair, as SPDP's property drew alone
-  }
-}
-
-object StreamOracleSpec {
+object StreamOracles {
   /** A subject codec and its oracle: the oracle's stream, with its work
     * where it reports one, and the oracle's decoder where it has one.
     */
@@ -45,6 +34,12 @@ object StreamOracleSpec {
         Some("decode differs from the oracle's")
       else None
     }
+  }
+
+  /** Every pair of `pairs` agrees on each drawn block. */
+  def property(pairs: Seq[Pair]): Prop = Prop.forAllNoShrink(CodecGen.drawn) { d =>
+    val failure = pairs.collectFirst(Function.unlift(p => p.failure(d.block).map(f => s"$p: $f")))
+    Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
   }
 
   private def reported(encode: FpBlock => Compressed): FpBlock => (Array[Byte], Option[WorkProfile]) =
@@ -69,9 +64,14 @@ object StreamOracleSpec {
     Compressed(bytes, WorkProfile(raw.length.toLong * 4, bytes.length, raw.length.toLong * 12, divergent = true))
   }
 
-  val Pairs: Seq[Pair] = (1 to 4).map(pfpc) ++
-    Seq(Pair("SPDP", new Spdp, reported(ThreePassSpdp.compress), Some(ThreePassSpdp.decompress))) ++
-    Seq(1, 4).flatMap(t => Seq(bitshuffle(new BitshuffleLz4(t), BytePathBitshuffle.Lz4),
-                               bitshuffle(new BitshuffleZstd(t), BytePathBitshuffle.Zstd))) :+
-    Pair("nv:LZ4", new NvLz4, reported(copiedPartsLz4))
+  val PfpcPairs: Seq[Pair] = (1 to 4).map(pfpc)
+
+  val SpdpPair: Pair = Pair("SPDP", new Spdp, reported(ThreePassSpdp.compress), Some(ThreePassSpdp.decompress))
+
+  val NvLz4Pair: Pair = Pair("nv:LZ4", new NvLz4, reported(copiedPartsLz4))
+
+  /** shf+LZ4 and shf+zstd at `threads`, with nv:LZ4, whose oracle codes through the byte path's LZ4. */
+  def bitshufflePairs(threads: Int): Seq[Pair] =
+    Seq(bitshuffle(new BitshuffleLz4(threads), BytePathBitshuffle.Lz4),
+        bitshuffle(new BitshuffleZstd(threads), BytePathBitshuffle.Zstd), NvLz4Pair)
 }

@@ -4,8 +4,8 @@ import com.github.luben.zstd.Zstd
 import org.scalacheck.Prop
 
 import repro.{PropSupport, SparkSpec}
-import repro.codecs.CodecGen
-import repro.codecs.StreamOracleSpec.bitshuffle
+import repro.codecs.{CodecGen, StreamOracles}
+import repro.codecs.StreamOracles.bitshuffle
 import repro.codecs.gpu.NvLz4
 import repro.core.{Codec, FpBlock, Frame, FrameOf, Precision}
 import repro.lz.{Lz4Backend, ZstdBackend}
@@ -46,6 +46,11 @@ class BitshuffleSpec extends SparkSpec with PropSupport {
       Prop.propBoolean(failure.isEmpty) :| failure.getOrElse("")
     }, minTests = 200)
   }
+
+  for (threads <- Seq(1, 4))
+    test(s"property: shf+LZ4, shf+zstd and nv:LZ4 streams equal the byte path's with threads = $threads") {
+      checkProp(StreamOracles.property(StreamOracles.bitshufflePairs(threads)), minTests = 150)
+    }
 
   test("the byte path decodes to the same values and work as the word path") {
     for ((precision, n) <- Seq(Precision.Double -> 20001, Precision.Single -> 40003, Precision.Double -> 7);

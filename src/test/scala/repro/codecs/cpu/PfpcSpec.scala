@@ -1,13 +1,18 @@
 package repro.codecs.cpu
 
-import repro.SparkSpec
-import repro.codecs.StreamOracleSpec.pfpc
+import repro.{PropSupport, SparkSpec}
+import repro.codecs.StreamOracles
+import repro.codecs.StreamOracles.pfpc
 import repro.core.{FpBlock, Precision}
 
-/** Blocks of pFPC's all-zero and last-byte residuals against the byte-wise
-  * coder kept in [[BytewisePfpc]]; `StreamOracleSpec` draws the rest.
+/** pFPC's word-at-a-time coder against the byte-wise one kept in
+  * [[BytewisePfpc]]: equal streams, and each stream decodes to its input.
   */
-class PfpcSpec extends SparkSpec {
+class PfpcSpec extends SparkSpec with PropSupport {
+
+  test("property: the stream equals the byte-wise oracle's and decodes, both precisions, 1-4 threads") {
+    checkProp(StreamOracles.property(StreamOracles.PfpcPairs), minTests = 150)
+  }
 
   test("all-zero residuals, a whole block of them, match the oracle and decode") {
     for (n <- Seq(1, 2, 3, 8, 9, 513); threads <- Seq(1, 3); v <- Seq(0.0, 2.5))
